@@ -1,4 +1,4 @@
-//! The `.alct` wire format: constants, codec state, per-event encoding.
+//! The `.alct` wire format: constants, codec state and the row codec.
 //!
 //! ## Layout
 //!
@@ -34,11 +34,20 @@
 //! within the chunk (previous address for addresses, previous pc for pcs,
 //! and so on), so the hot sequential patterns — a scan through an array,
 //! events from one code region — encode in one byte per field.
+//!
+//! ## One row codec
+//!
+//! The codec works on [`EventBatch`] rows, never on [`Event`] values:
+//! [`encode_row`] appends one row's event bytes ([`encode_tid`] its v2
+//! thread-id entry), and [`decode_chunk_into`] turns a whole chunk payload
+//! into batch columns. Every writer and reader in the crate goes through
+//! these functions, so the wire layout is written down once.
+//!
+//! [`Event`]: alchemist_vm::Event
 
 use crate::error::TraceError;
 use crate::varint;
-use alchemist_lang::hir::FuncId;
-use alchemist_vm::{BlockId, Event, Pc, Tid};
+use alchemist_vm::{EventBatch, EventTag, Tid, Time};
 
 /// File magic: the first four bytes of every trace.
 pub const MAGIC: [u8; 4] = *b"ALCT";
@@ -84,14 +93,6 @@ pub const MAX_SOURCE_BYTES: u64 = 16 << 20;
 const DT_INLINE_MAX: u64 = 30;
 /// Lead-byte dt field value that escapes to an extension varint.
 const DT_ESCAPE: u8 = 31;
-
-const TAG_ENTER: u8 = 0;
-const TAG_EXIT: u8 = 1;
-const TAG_BLOCK: u8 = 2;
-const TAG_PRED_NOT_TAKEN: u8 = 3;
-const TAG_PRED_TAKEN: u8 = 4;
-const TAG_READ: u8 = 5;
-const TAG_WRITE: u8 = 6;
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) of `data` —
 /// the checksum v3 chunks carry. Table-driven, one table built at compile
@@ -139,6 +140,7 @@ pub struct CodecState {
     prev_block: u32,
     prev_pc: u32,
     prev_addr: u32,
+    prev_tid: u32,
 }
 
 impl CodecState {
@@ -151,225 +153,304 @@ impl CodecState {
             prev_block: 0,
             prev_pc: 0,
             prev_addr: 0,
+            prev_tid: 0,
         }
     }
 }
 
-fn delta32(prev: &mut u32, new: u32) -> i64 {
-    let d = i64::from(new) - i64::from(*prev);
-    *prev = new;
-    d
+/// Row kinds by wire tag: the low 3 bits of a lead byte index this table.
+/// The wire tag of a row is its [`EventTag`] discriminant.
+const WIRE_TAGS: [EventTag; 7] = [
+    EventTag::Enter,
+    EventTag::Exit,
+    EventTag::Block,
+    EventTag::PredNotTaken,
+    EventTag::PredTaken,
+    EventTag::Read,
+    EventTag::Write,
+];
+
+const _: () = {
+    let mut i = 0;
+    while i < WIRE_TAGS.len() {
+        assert!(
+            WIRE_TAGS[i] as usize == i,
+            "wire tag must equal the discriminant"
+        );
+        i += 1;
+    }
+};
+
+/// Longest encoding of one row: the lead byte, a timestamp extension of at
+/// most 10 bytes, and two field deltas. A delta between two `u32` values
+/// zigzags below 2^33, so it takes at most 5 bytes.
+const MAX_ROW_BYTES: usize = 1 + varint::MAX_VARINT_BYTES + 2 * 5;
+
+/// The encoding of one row, written in place into room reserved at the end
+/// of the output.
+struct RowBytes<'a> {
+    bytes: &'a mut [u8],
+    len: usize,
 }
 
+impl RowBytes<'_> {
+    /// Appends the LEB128 encoding of `v` (the layout of
+    /// [`varint::write_u64`]).
+    #[inline(always)]
+    fn put(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.bytes[self.len] = (v as u8) | 0x80;
+            self.len += 1;
+            v >>= 7;
+        }
+        self.bytes[self.len] = v as u8;
+        self.len += 1;
+    }
+
+    /// Appends the zigzag delta from `*prev` to `new` and advances `*prev`.
+    #[inline(always)]
+    fn put_delta(&mut self, prev: &mut u32, new: u32) {
+        let d = i64::from(new) - i64::from(*prev);
+        *prev = new;
+        self.put(varint::zigzag(d));
+    }
+}
+
+/// Appends the encoding of one row to `out`, updating `state`. The columns
+/// mean what they mean in an [`EventBatch`] row; columns the tag does not
+/// use are ignored. This is the crate's only event encoder.
+///
+/// Timestamps must be non-decreasing within a chunk (the interpreter's
+/// retired-instruction clock guarantees this for live recording).
+#[inline]
+pub fn encode_row(
+    state: &mut CodecState,
+    tag: EventTag,
+    t: Time,
+    addr: u32,
+    pc: u32,
+    aux: u32,
+    out: &mut Vec<u8>,
+) {
+    debug_assert!(t >= state.prev_t, "timestamps must not run backwards");
+    let dt = t.saturating_sub(state.prev_t);
+    state.prev_t = t;
+
+    // Room for the widest row is made up front and cut back to the row's
+    // length at the end. Building the row in a separate buffer and copying
+    // it over costs a store-to-load stall per row, about as much as the
+    // encoding itself.
+    let start = out.len();
+    out.resize(start + MAX_ROW_BYTES, 0);
+    let mut row = RowBytes {
+        bytes: &mut out[start..],
+        len: 1,
+    };
+    if dt <= DT_INLINE_MAX {
+        row.bytes[0] = tag as u8 | ((dt as u8) << 3);
+    } else {
+        row.bytes[0] = tag as u8 | (DT_ESCAPE << 3);
+        row.put(dt - DT_INLINE_MAX - 1);
+    }
+    match tag {
+        EventTag::Enter => {
+            row.put_delta(&mut state.prev_func, aux);
+            row.put_delta(&mut state.prev_fp, addr);
+        }
+        EventTag::Exit => row.put_delta(&mut state.prev_func, aux),
+        EventTag::Block => row.put_delta(&mut state.prev_block, aux),
+        EventTag::PredNotTaken | EventTag::PredTaken => {
+            row.put_delta(&mut state.prev_pc, pc);
+            row.put_delta(&mut state.prev_block, aux);
+        }
+        EventTag::Read | EventTag::Write => {
+            row.put_delta(&mut state.prev_addr, addr);
+            row.put_delta(&mut state.prev_pc, pc);
+        }
+    }
+    let len = row.len;
+    out.truncate(start + len);
+}
+
+/// Appends one entry of a v2 thread-id column to `out`: the zigzag-varint
+/// delta against the chunk's previous entry, which starts from 0 at every
+/// chunk boundary like the rest of [`CodecState`]. Runs of same-thread
+/// events — the common case under quantum scheduling — encode as one zero
+/// byte each.
+#[inline]
+pub fn encode_tid(state: &mut CodecState, tid: u32, out: &mut Vec<u8>) {
+    if tid == state.prev_tid {
+        out.push(0);
+    } else {
+        varint::write_i64(out, i64::from(tid) - i64::from(state.prev_tid));
+        state.prev_tid = tid;
+    }
+}
+
+/// What the row decoder needs to know about a chunk besides its payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkHead {
+    /// Format version the payload was encoded under. v2 and later payloads
+    /// open with a thread-id column.
+    pub version: u16,
+    /// Events the chunk declares.
+    pub events: u64,
+    /// Timestamp of the chunk's first event (seeds the codec state).
+    pub t_first: u64,
+}
+
+/// Decodes one chunk payload into `batch`, replacing its rows. This is the
+/// crate's only event decoder: the streaming reader, windowed replay and
+/// chunk-parallel decode all call it.
+///
+/// Every column is sized once for the chunk's row count and written by
+/// index. The v2 thread-id column decodes straight into the batch's tid
+/// column; v1 chunks carry none and decode on [`Tid::MAIN`].
+///
+/// Decoding is chunk-atomic: on error `batch` is left empty, so no row of
+/// a corrupt chunk is ever delivered.
+///
+/// # Errors
+///
+/// [`TraceError::Malformed`] when the event count exceeds the payload
+/// size, a delta walks a field out of range or bytes trail the last event;
+/// [`TraceError::Truncated`] when the payload ends mid-event; and
+/// [`TraceError::BadEventTag`] on an undefined kind tag.
+pub fn decode_chunk_into(
+    head: ChunkHead,
+    payload: &[u8],
+    batch: &mut EventBatch,
+) -> Result<(), TraceError> {
+    let result = decode_rows(head, payload, batch);
+    if result.is_err() {
+        batch.clear();
+    }
+    result
+}
+
+fn decode_rows(head: ChunkHead, payload: &[u8], batch: &mut EventBatch) -> Result<(), TraceError> {
+    // Every event is at least one byte, so this bounds hostile counts
+    // before the columns are sized.
+    if head.events > payload.len() as u64 {
+        return Err(TraceError::Malformed("event count exceeds payload size"));
+    }
+    let n = head.events as usize;
+    let cols = batch.columns_for(n);
+    let mut state = CodecState::new(head.t_first);
+    let mut pos = 0;
+    if head.version >= VERSION_V2 {
+        for tid in cols.tids.iter_mut() {
+            let d = read_delta(payload, &mut pos)?;
+            *tid = apply32(&mut state.prev_tid, d, "thread id out of range")?;
+        }
+    } else {
+        cols.tids.fill(Tid::MAIN.0);
+    }
+
+    let tags = &mut cols.tags[..n];
+    let times = &mut cols.times[..n];
+    let addrs = &mut cols.addrs[..n];
+    let pcs = &mut cols.pcs[..n];
+    let auxs = &mut cols.auxs[..n];
+    for i in 0..n {
+        let Some(&lead) = payload.get(pos) else {
+            return Err(TraceError::Truncated("event lead byte"));
+        };
+        pos += 1;
+        let inline_dt = lead >> 3;
+        let dt = if inline_dt == DT_ESCAPE {
+            let ext = varint::read_u64(payload, &mut pos)?;
+            ext.checked_add(DT_INLINE_MAX + 1)
+                .ok_or(TraceError::Malformed("timestamp delta overflows u64"))?
+        } else {
+            u64::from(inline_dt)
+        };
+        state.prev_t = state
+            .prev_t
+            .checked_add(dt)
+            .ok_or(TraceError::Malformed("timestamp overflows u64"))?;
+        let wire = lead & 0x07;
+        let tag = *WIRE_TAGS
+            .get(usize::from(wire))
+            .ok_or(TraceError::BadEventTag(wire))?;
+
+        // Both deltas are read before either is applied, so a truncated
+        // second field reports truncation rather than a range error.
+        let (addr, pc, aux) = match tag {
+            EventTag::Enter => {
+                let dfunc = read_delta(payload, &mut pos)?;
+                let dfp = read_delta(payload, &mut pos)?;
+                let func = apply32(&mut state.prev_func, dfunc, "function id out of range")?;
+                let fp = apply32(&mut state.prev_fp, dfp, "frame pointer out of range")?;
+                (fp, 0, func)
+            }
+            EventTag::Exit => {
+                let dfunc = read_delta(payload, &mut pos)?;
+                let func = apply32(&mut state.prev_func, dfunc, "function id out of range")?;
+                (0, 0, func)
+            }
+            EventTag::Block => {
+                let dblock = read_delta(payload, &mut pos)?;
+                let block = apply32(&mut state.prev_block, dblock, "block id out of range")?;
+                (0, 0, block)
+            }
+            EventTag::PredNotTaken | EventTag::PredTaken => {
+                let dpc = read_delta(payload, &mut pos)?;
+                let dblock = read_delta(payload, &mut pos)?;
+                let pc = apply32(&mut state.prev_pc, dpc, "pc out of range")?;
+                let block = apply32(&mut state.prev_block, dblock, "block id out of range")?;
+                (0, pc, block)
+            }
+            EventTag::Read | EventTag::Write => {
+                let daddr = read_delta(payload, &mut pos)?;
+                let dpc = read_delta(payload, &mut pos)?;
+                let addr = apply32(&mut state.prev_addr, daddr, "address out of range")?;
+                let pc = apply32(&mut state.prev_pc, dpc, "pc out of range")?;
+                (addr, pc, 0)
+            }
+        };
+        tags[i] = tag;
+        times[i] = state.prev_t;
+        addrs[i] = addr;
+        pcs[i] = pc;
+        auxs[i] = aux;
+    }
+    if pos != payload.len() {
+        return Err(TraceError::Malformed("trailing bytes in chunk"));
+    }
+    Ok(())
+}
+
+/// Reads one zigzag delta, with a fast path for the one-byte encoding that
+/// almost every field delta takes.
+#[inline(always)]
+fn read_delta(buf: &[u8], pos: &mut usize) -> Result<i64, TraceError> {
+    match buf.get(*pos) {
+        Some(&byte) if byte < 0x80 => {
+            *pos += 1;
+            Ok(varint::unzigzag(u64::from(byte)))
+        }
+        _ => varint::read_i64(buf, pos),
+    }
+}
+
+/// Applies `delta` to `*prev`, failing with `what` if the result leaves
+/// the `u32` range.
+#[inline(always)]
 fn apply32(prev: &mut u32, delta: i64, what: &'static str) -> Result<u32, TraceError> {
     let v = i64::from(*prev)
         .checked_add(delta)
         .filter(|v| (0..=i64::from(u32::MAX)).contains(v))
         .ok_or(TraceError::Malformed(what))?;
     *prev = v as u32;
-    Ok(v as u32)
-}
-
-/// Appends the encoding of `ev` to `out`, updating `state`.
-///
-/// Timestamps must be non-decreasing within a chunk (the interpreter's
-/// retired-instruction clock guarantees this for live recording).
-pub fn encode_event(state: &mut CodecState, ev: &Event, out: &mut Vec<u8>) {
-    let t = ev.time();
-    debug_assert!(t >= state.prev_t, "timestamps must not run backwards");
-    let dt = t.saturating_sub(state.prev_t);
-    state.prev_t = t;
-
-    let (tag, inline_dt) = {
-        let tag = match ev {
-            Event::Enter { .. } => TAG_ENTER,
-            Event::Exit { .. } => TAG_EXIT,
-            Event::Block { .. } => TAG_BLOCK,
-            Event::Predicate { taken: false, .. } => TAG_PRED_NOT_TAKEN,
-            Event::Predicate { taken: true, .. } => TAG_PRED_TAKEN,
-            Event::Read { .. } => TAG_READ,
-            Event::Write { .. } => TAG_WRITE,
-        };
-        if dt <= DT_INLINE_MAX {
-            (tag, dt as u8)
-        } else {
-            (tag, DT_ESCAPE)
-        }
-    };
-    out.push(tag | (inline_dt << 3));
-    if inline_dt == DT_ESCAPE {
-        varint::write_u64(out, dt - DT_INLINE_MAX - 1);
-    }
-
-    match *ev {
-        Event::Enter { func, fp, .. } => {
-            varint::write_i64(out, delta32(&mut state.prev_func, func.0));
-            varint::write_i64(out, delta32(&mut state.prev_fp, fp));
-        }
-        Event::Exit { func, .. } => {
-            varint::write_i64(out, delta32(&mut state.prev_func, func.0));
-        }
-        Event::Block { block, .. } => {
-            varint::write_i64(out, delta32(&mut state.prev_block, block.0));
-        }
-        Event::Predicate { pc, block, .. } => {
-            varint::write_i64(out, delta32(&mut state.prev_pc, pc.0));
-            varint::write_i64(out, delta32(&mut state.prev_block, block.0));
-        }
-        Event::Read { addr, pc, .. } | Event::Write { addr, pc, .. } => {
-            varint::write_i64(out, delta32(&mut state.prev_addr, addr));
-            varint::write_i64(out, delta32(&mut state.prev_pc, pc.0));
-        }
-    }
-}
-
-/// Decodes one event from `buf[*pos..]`, advancing `*pos` and `state`.
-///
-/// The event codec is tid-agnostic: decoded events come out on
-/// [`Tid::MAIN`], and v2 readers restamp them from the chunk's thread-id
-/// column ([`decode_tid_column`]).
-///
-/// # Errors
-///
-/// [`TraceError::Truncated`] when the chunk ends mid-event,
-/// [`TraceError::BadEventTag`] on an undefined kind tag, and
-/// [`TraceError::Malformed`] when a delta walks a field out of range.
-pub fn decode_event(
-    state: &mut CodecState,
-    buf: &[u8],
-    pos: &mut usize,
-) -> Result<Event, TraceError> {
-    let Some(&lead) = buf.get(*pos) else {
-        return Err(TraceError::Truncated("event lead byte"));
-    };
-    *pos += 1;
-    let tag = lead & 0x07;
-    let inline_dt = lead >> 3;
-    let dt = if inline_dt == DT_ESCAPE {
-        let ext = varint::read_u64(buf, pos)?;
-        ext.checked_add(DT_INLINE_MAX + 1)
-            .ok_or(TraceError::Malformed("timestamp delta overflows u64"))?
-    } else {
-        u64::from(inline_dt)
-    };
-    let t = state
-        .prev_t
-        .checked_add(dt)
-        .ok_or(TraceError::Malformed("timestamp overflows u64"))?;
-    state.prev_t = t;
-
-    match tag {
-        TAG_ENTER => {
-            let dfunc = varint::read_i64(buf, pos)?;
-            let dfp = varint::read_i64(buf, pos)?;
-            let func = apply32(&mut state.prev_func, dfunc, "function id out of range")?;
-            let fp = apply32(&mut state.prev_fp, dfp, "frame pointer out of range")?;
-            Ok(Event::Enter {
-                t,
-                func: FuncId(func),
-                fp,
-                tid: Tid::MAIN,
-            })
-        }
-        TAG_EXIT => {
-            let dfunc = varint::read_i64(buf, pos)?;
-            let func = apply32(&mut state.prev_func, dfunc, "function id out of range")?;
-            Ok(Event::Exit {
-                t,
-                func: FuncId(func),
-                tid: Tid::MAIN,
-            })
-        }
-        TAG_BLOCK => {
-            let dblock = varint::read_i64(buf, pos)?;
-            let block = apply32(&mut state.prev_block, dblock, "block id out of range")?;
-            Ok(Event::Block {
-                t,
-                block: BlockId(block),
-                tid: Tid::MAIN,
-            })
-        }
-        TAG_PRED_NOT_TAKEN | TAG_PRED_TAKEN => {
-            let dpc = varint::read_i64(buf, pos)?;
-            let dblock = varint::read_i64(buf, pos)?;
-            let pc = apply32(&mut state.prev_pc, dpc, "pc out of range")?;
-            let block = apply32(&mut state.prev_block, dblock, "block id out of range")?;
-            Ok(Event::Predicate {
-                t,
-                pc: Pc(pc),
-                block: BlockId(block),
-                taken: tag == TAG_PRED_TAKEN,
-                tid: Tid::MAIN,
-            })
-        }
-        TAG_READ | TAG_WRITE => {
-            let daddr = varint::read_i64(buf, pos)?;
-            let dpc = varint::read_i64(buf, pos)?;
-            let addr = apply32(&mut state.prev_addr, daddr, "address out of range")?;
-            let pc = apply32(&mut state.prev_pc, dpc, "pc out of range")?;
-            if tag == TAG_READ {
-                Ok(Event::Read {
-                    t,
-                    addr,
-                    pc: Pc(pc),
-                    tid: Tid::MAIN,
-                })
-            } else {
-                Ok(Event::Write {
-                    t,
-                    addr,
-                    pc: Pc(pc),
-                    tid: Tid::MAIN,
-                })
-            }
-        }
-        other => Err(TraceError::BadEventTag(other)),
-    }
-}
-
-/// Appends a v2 thread-id column to `out`: one zigzag-varint delta per
-/// entry against the previous tid, starting from 0 (the codec resets at
-/// every chunk boundary, like [`CodecState`]). Runs of same-thread events —
-/// the common case under quantum scheduling — encode as one zero byte each.
-pub fn encode_tid_column(tids: &[u32], out: &mut Vec<u8>) {
-    let mut prev: u32 = 0;
-    for &tid in tids {
-        varint::write_i64(out, i64::from(tid) - i64::from(prev));
-        prev = tid;
-    }
-}
-
-/// Decodes a v2 thread-id column of `count` entries from `buf[*pos..]`
-/// into `out` (cleared first), advancing `*pos`.
-///
-/// # Errors
-///
-/// [`TraceError::Truncated`] when the chunk ends mid-column and
-/// [`TraceError::Malformed`] when a delta walks the tid out of `u32` range.
-pub fn decode_tid_column(
-    buf: &[u8],
-    pos: &mut usize,
-    count: usize,
-    out: &mut Vec<u32>,
-) -> Result<(), TraceError> {
-    out.clear();
-    out.reserve(count);
-    let mut prev: u32 = 0;
-    for _ in 0..count {
-        let d = varint::read_i64(buf, pos)?;
-        let v = i64::from(prev)
-            .checked_add(d)
-            .filter(|v| (0..=i64::from(u32::MAX)).contains(v))
-            .ok_or(TraceError::Malformed("thread id out of range"))?;
-        prev = v as u32;
-        out.push(prev);
-    }
-    Ok(())
+    Ok(*prev)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alchemist_lang::hir::FuncId;
+    use alchemist_vm::{BlockId, Event, Pc};
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -417,21 +498,56 @@ mod tests {
         ]
     }
 
+    /// Encodes `tids` as one chunk's thread-id column.
+    fn encode_tids(tids: &[u32]) -> Vec<u8> {
+        let mut state = CodecState::new(0);
+        let mut buf = Vec::new();
+        for &tid in tids {
+            encode_tid(&mut state, tid, &mut buf);
+        }
+        buf
+    }
+
+    /// Encodes `events` as one chunk's event stream (no tid column).
+    fn encode(t_first: u64, events: &[Event]) -> Vec<u8> {
+        let batch = EventBatch::from_events(events);
+        let mut state = CodecState::new(t_first);
+        let mut buf = Vec::new();
+        for i in 0..batch.len() {
+            encode_row(
+                &mut state,
+                batch.tag(i),
+                batch.time(i),
+                batch.addr(i),
+                batch.pc(i),
+                batch.aux(i),
+                &mut buf,
+            );
+        }
+        buf
+    }
+
+    fn decode(
+        version: u16,
+        t_first: u64,
+        n: usize,
+        payload: &[u8],
+    ) -> Result<Vec<Event>, TraceError> {
+        let head = ChunkHead {
+            version,
+            events: n as u64,
+            t_first,
+        };
+        let mut batch = EventBatch::new();
+        decode_chunk_into(head, payload, &mut batch)?;
+        Ok(batch.iter().collect())
+    }
+
     #[test]
     fn events_roundtrip_through_the_codec() {
         let events = sample_events();
-        let mut enc = CodecState::new(events[0].time());
-        let mut buf = Vec::new();
-        for e in &events {
-            encode_event(&mut enc, e, &mut buf);
-        }
-        let mut dec = CodecState::new(events[0].time());
-        let mut pos = 0;
-        let decoded: Vec<Event> = (0..events.len())
-            .map(|_| decode_event(&mut dec, &buf, &mut pos).unwrap())
-            .collect();
-        assert_eq!(decoded, events);
-        assert_eq!(pos, buf.len(), "no trailing bytes");
+        let buf = encode(0, &events);
+        assert_eq!(decode(VERSION, 0, events.len(), &buf).unwrap(), events);
     }
 
     #[test]
@@ -439,74 +555,84 @@ mod tests {
         // dt=1, addr +1, pc 0 from the previous access: the hot pattern.
         let mut enc = CodecState::new(0);
         let mut buf = Vec::new();
-        encode_event(
-            &mut enc,
-            &Event::Read {
-                t: 0,
-                addr: 0,
-                pc: Pc(0),
-                tid: Tid::MAIN,
-            },
-            &mut buf,
-        );
+        encode_row(&mut enc, EventTag::Read, 0, 0, 0, 0, &mut buf);
         let before = buf.len();
-        encode_event(
-            &mut enc,
-            &Event::Read {
-                t: 1,
-                addr: 1,
-                pc: Pc(0),
-                tid: Tid::MAIN,
-            },
-            &mut buf,
-        );
+        encode_row(&mut enc, EventTag::Read, 1, 1, 0, 0, &mut buf);
         assert_eq!(buf.len() - before, 3);
     }
 
     #[test]
     fn large_dt_uses_the_escape() {
-        let mut enc = CodecState::new(0);
-        let mut buf = Vec::new();
         let ev = Event::Block {
             t: 1 << 40,
             block: BlockId(0),
             tid: Tid::MAIN,
         };
-        encode_event(&mut enc, &ev, &mut buf);
-        let mut dec = CodecState::new(0);
-        let mut pos = 0;
-        assert_eq!(decode_event(&mut dec, &buf, &mut pos).unwrap(), ev);
+        let buf = encode(0, &[ev]);
+        assert_eq!(buf[0] >> 3, DT_ESCAPE);
+        assert_eq!(decode(VERSION, 0, 1, &buf).unwrap(), vec![ev]);
+    }
+
+    #[test]
+    fn widest_row_fits_the_reserved_room() {
+        // Maximal dt extension and two maximal-magnitude field deltas.
+        let mut enc = CodecState::new(0);
+        let mut buf = Vec::new();
+        encode_row(
+            &mut enc,
+            EventTag::Read,
+            u64::MAX,
+            u32::MAX,
+            u32::MAX,
+            0,
+            &mut buf,
+        );
+        encode_row(&mut enc, EventTag::Read, u64::MAX, 0, 0, 0, &mut buf);
+        let mut dec = EventBatch::new();
+        let head = ChunkHead {
+            version: VERSION,
+            events: 2,
+            t_first: 0,
+        };
+        decode_chunk_into(head, &buf, &mut dec).unwrap();
+        assert_eq!(
+            (dec.time(0), dec.addr(0), dec.pc(0)),
+            (u64::MAX, u32::MAX, u32::MAX)
+        );
+        assert_eq!((dec.time(1), dec.addr(1), dec.pc(1)), (u64::MAX, 0, 0));
     }
 
     #[test]
     fn tid_column_roundtrips_mixed_threads() {
         let tids = [0u32, 0, 1, 1, 2, 0, 7, 7, 3, u32::MAX];
-        let mut buf = Vec::new();
-        encode_tid_column(&tids, &mut buf);
-        let mut pos = 0;
-        let mut out = Vec::new();
-        decode_tid_column(&buf, &mut pos, tids.len(), &mut out).unwrap();
-        assert_eq!(out, tids);
-        assert_eq!(pos, buf.len(), "no trailing bytes");
+        let events: Vec<Event> = tids
+            .iter()
+            .enumerate()
+            .map(|(i, &tid)| Event::Read {
+                t: i as u64,
+                addr: i as u32,
+                pc: Pc(1),
+                tid: Tid(tid),
+            })
+            .collect();
+        let mut payload = encode_tids(&tids);
+        payload.extend(encode(0, &events));
+        assert_eq!(decode(VERSION_V2, 0, tids.len(), &payload).unwrap(), events);
     }
 
     #[test]
     fn all_main_tid_column_is_one_byte_per_event() {
-        let tids = [0u32; 16];
-        let mut buf = Vec::new();
-        encode_tid_column(&tids, &mut buf);
-        assert_eq!(buf.len(), 16);
+        assert_eq!(encode_tids(&[0u32; 16]).len(), 16);
     }
 
     #[test]
     fn truncated_tid_column_is_a_typed_error() {
-        let tids = [5u32, 6, 7];
-        let mut buf = Vec::new();
-        encode_tid_column(&tids, &mut buf);
-        let mut pos = 0;
-        let mut out = Vec::new();
+        // Three multi-byte tids, cut inside the last one: the declared
+        // count still fits the payload size, so the column itself fails.
+        let tids = [500u32, 600, 700];
+        let buf = encode_tids(&tids);
         assert!(matches!(
-            decode_tid_column(&buf[..buf.len() - 1], &mut pos, tids.len(), &mut out),
+            decode(VERSION_V2, 0, tids.len(), &buf[..buf.len() - 1]),
             Err(TraceError::Truncated(_))
         ));
     }
@@ -516,11 +642,9 @@ mod tests {
         // A lone delta of -1 would take the running tid below zero.
         let mut buf = Vec::new();
         varint::write_i64(&mut buf, -1);
-        let mut pos = 0;
-        let mut out = Vec::new();
         assert!(matches!(
-            decode_tid_column(&buf, &mut pos, 1, &mut out),
-            Err(TraceError::Malformed(_))
+            decode(VERSION_V2, 0, 1, &buf),
+            Err(TraceError::Malformed("thread id out of range"))
         ));
     }
 
@@ -539,33 +663,55 @@ mod tests {
     #[test]
     fn bad_tag_is_a_typed_error() {
         // Tag 7 is undefined; dt bits zero.
-        let mut dec = CodecState::new(0);
-        let mut pos = 0;
         assert!(matches!(
-            decode_event(&mut dec, &[0x07], &mut pos),
+            decode(VERSION, 0, 1, &[0x07]),
             Err(TraceError::BadEventTag(7))
         ));
     }
 
     #[test]
     fn truncated_event_is_a_typed_error() {
-        let mut enc = CodecState::new(0);
-        let mut buf = Vec::new();
-        encode_event(
-            &mut enc,
-            &Event::Read {
-                t: 0,
-                addr: 1 << 20,
-                pc: Pc(9000),
-                tid: Tid::MAIN,
-            },
-            &mut buf,
-        );
-        let mut dec = CodecState::new(0);
-        let mut pos = 0;
+        let ev = Event::Read {
+            t: 0,
+            addr: 1 << 20,
+            pc: Pc(9000),
+            tid: Tid::MAIN,
+        };
+        let buf = encode(0, &[ev]);
         assert!(matches!(
-            decode_event(&mut dec, &buf[..buf.len() - 1], &mut pos),
+            decode(VERSION, 0, 1, &buf[..buf.len() - 1]),
             Err(TraceError::Truncated(_))
         ));
+    }
+
+    #[test]
+    fn trailing_bytes_and_oversized_counts_are_typed_errors() {
+        let events = sample_events();
+        let mut buf = encode(0, &events);
+        buf.push(0x00);
+        assert!(matches!(
+            decode(VERSION, 0, events.len(), &buf),
+            Err(TraceError::Malformed("trailing bytes in chunk"))
+        ));
+        assert!(matches!(
+            decode(VERSION, 0, buf.len() + 1, &buf),
+            Err(TraceError::Malformed("event count exceeds payload size"))
+        ));
+    }
+
+    #[test]
+    fn a_failed_decode_leaves_the_batch_empty() {
+        let events = sample_events();
+        let buf = encode(0, &events);
+        let mut batch = EventBatch::from_events(&events);
+        let head = ChunkHead {
+            version: VERSION,
+            events: events.len() as u64,
+            t_first: 0,
+        };
+        // Cut inside the last event: every earlier row decoded fine.
+        let err = decode_chunk_into(head, &buf[..buf.len() - 1], &mut batch);
+        assert!(err.is_err());
+        assert!(batch.is_empty(), "no row of a corrupt chunk is delivered");
     }
 }

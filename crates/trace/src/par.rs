@@ -8,16 +8,16 @@
 //! chunks cannot serialize the pool) and reassembles the event vector in
 //! trace order.
 //!
-//! Error semantics match the sequential reader as closely as a batch API
-//! can: if several chunks are corrupt, the error reported is the one the
-//! sequential decoder would have hit first (lowest chunk index), and no
-//! events are returned.
+//! Error semantics match the sequential reader: the error reported is the
+//! one the sequential decoder would have hit first — a payload error in an
+//! earlier chunk wins over a structural error further on — and no events
+//! are returned.
 
 use crate::error::TraceError;
-use crate::format::{self, CodecState};
+use crate::format;
 use crate::reader::{RawChunk, RecoveryReport, ReplaySummary, TraceReader};
 use alchemist_obs::{span_opt, Counter, Hist, Metrics, Stage};
-use alchemist_vm::{Event, EventBatch, Tid};
+use alchemist_vm::{Event, EventBatch};
 use std::io::Read;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -29,57 +29,38 @@ use std::time::Instant;
 /// Any payload-level [`TraceError`] ([`TraceError::Truncated`] mid-event,
 /// [`TraceError::BadEventTag`], delta overflow, trailing bytes).
 pub fn decode_chunk(chunk: &RawChunk) -> Result<Vec<Event>, TraceError> {
-    let mut state = CodecState::new(chunk.t_first);
-    let mut pos = 0;
-    let tids = decode_chunk_tids(chunk, &mut pos)?;
-    let mut events = Vec::with_capacity(chunk.events as usize);
-    for i in 0..chunk.events {
-        let mut ev = format::decode_event(&mut state, &chunk.payload, &mut pos)?;
-        if let Some(tids) = &tids {
-            ev = ev.with_tid(Tid(tids[i as usize]));
-        }
-        events.push(ev);
-    }
-    if pos != chunk.payload.len() {
-        return Err(TraceError::Malformed("trailing bytes in chunk"));
-    }
-    Ok(events)
+    let mut batch = EventBatch::new();
+    decode_chunk_into(chunk, &mut batch)?;
+    Ok(batch.iter().collect())
 }
 
-/// Consumes the v2 thread-id column at the head of `chunk.payload`, if the
-/// chunk's format version carries one.
-fn decode_chunk_tids(chunk: &RawChunk, pos: &mut usize) -> Result<Option<Vec<u32>>, TraceError> {
-    if chunk.version < format::VERSION_V2 {
-        return Ok(None);
-    }
-    let mut tids = Vec::new();
-    format::decode_tid_column(&chunk.payload, pos, chunk.events as usize, &mut tids)?;
-    Ok(Some(tids))
-}
-
-/// Decodes one raw chunk straight into `batch` (cleared first), without
-/// materializing a `Vec<Event>`.
+/// Decodes one raw chunk straight into `batch`, replacing its rows, through
+/// the crate's one row decoder ([`format::decode_chunk_into`]): columns are
+/// sized once and written by index, and no [`Event`] is built.
 ///
 /// # Errors
 ///
-/// Same payload-level errors as [`decode_chunk`]; rows decoded before the
-/// error remain in `batch` and should be discarded by the caller.
+/// Same payload-level errors as [`decode_chunk`]. Decoding is
+/// chunk-atomic: on error `batch` is left empty.
 pub fn decode_chunk_into(chunk: &RawChunk, batch: &mut EventBatch) -> Result<(), TraceError> {
-    batch.clear();
-    let mut state = CodecState::new(chunk.t_first);
-    let mut pos = 0;
-    let tids = decode_chunk_tids(chunk, &mut pos)?;
-    for i in 0..chunk.events {
-        let mut ev = format::decode_event(&mut state, &chunk.payload, &mut pos)?;
-        if let Some(tids) = &tids {
-            ev = ev.with_tid(Tid(tids[i as usize]));
-        }
-        batch.push_event(&ev);
+    format::decode_chunk_into(chunk.head(), &chunk.payload, batch)
+}
+
+/// [`decode_chunk_into`] into a fresh batch, recording the chunk's decode
+/// time and size into `metrics` when it decoded.
+fn decode_chunk_timed(
+    chunk: &RawChunk,
+    metrics: Option<&Metrics>,
+) -> Result<EventBatch, TraceError> {
+    let t0 = metrics.map(|_| Instant::now());
+    let mut batch = EventBatch::new();
+    decode_chunk_into(chunk, &mut batch)?;
+    if let (Some(m), Some(t0)) = (metrics, t0) {
+        m.observe_ns(Hist::DecodeChunkNs, t0.elapsed().as_nanos() as u64);
+        m.incr(Counter::TraceChunksDecoded);
+        m.add(Counter::TraceBytesDecoded, chunk.payload.len() as u64);
     }
-    if pos != chunk.payload.len() {
-        return Err(TraceError::Malformed("trailing bytes in chunk"));
-    }
-    Ok(())
+    Ok(batch)
 }
 
 /// Runs `decode` over every chunk on `jobs` worker threads (work-stealing
@@ -159,18 +140,38 @@ pub fn decode_events_par<R: Read>(
     mut reader: TraceReader<R>,
     jobs: usize,
 ) -> Result<(Vec<Event>, ReplaySummary), TraceError> {
-    let (chunks, total_steps) = reader.read_raw_chunks()?;
-    let jobs = jobs.max(1).min(chunks.len().max(1));
-    let decoded = decode_chunks_ordered(&chunks, jobs, decode_chunk);
-    let mut events = Vec::with_capacity(chunks.iter().map(|c| c.events as usize).sum());
-    for chunk in decoded {
-        events.extend(chunk?);
-    }
+    let (decoded, total_steps) = scan_and_decode(&mut reader, jobs, decode_chunk)?;
+    let events: Vec<Event> = decoded.concat();
     let summary = ReplaySummary {
         events: events.len() as u64,
         total_steps,
     };
     Ok((events, summary))
+}
+
+/// Scans the whole trace, decodes every chunk the scan read on `jobs`
+/// workers, and returns the decoded chunks in trace order with the
+/// footer's step count.
+///
+/// The error is the one the sequential reader would report: that reader
+/// decodes each chunk before it reads the next chunk head, so a payload
+/// error in a chunk ahead of the scan's own failure point wins over it.
+fn scan_and_decode<R, T, F>(
+    reader: &mut TraceReader<R>,
+    jobs: usize,
+    decode: F,
+) -> Result<(Vec<T>, u64), TraceError>
+where
+    R: Read,
+    T: Send,
+    F: Fn(&RawChunk) -> Result<T, TraceError> + Sync,
+{
+    let (chunks, end) = reader.read_raw_chunks_partial();
+    let jobs = jobs.max(1).min(chunks.len().max(1));
+    let decoded = decode_chunks_ordered(&chunks, jobs, decode)
+        .into_iter()
+        .collect::<Result<Vec<T>, TraceError>>()?;
+    Ok((decoded, end?))
 }
 
 /// Decodes a whole trace chunk-parallel into one [`EventBatch`] per chunk.
@@ -209,26 +210,10 @@ pub fn decode_batches_par_with<R: Read>(
     metrics: Option<&Metrics>,
 ) -> Result<(Vec<EventBatch>, ReplaySummary), TraceError> {
     let _decode_span = span_opt(metrics, Stage::Decode);
-    let (chunks, total_steps) = reader.read_raw_chunks()?;
-    let jobs = jobs.max(1).min(chunks.len().max(1));
-    let decoded = decode_chunks_ordered(&chunks, jobs, |chunk| {
-        let t0 = metrics.map(|_| Instant::now());
-        let mut batch = EventBatch::with_capacity(chunk.events as usize);
-        decode_chunk_into(chunk, &mut batch)?;
-        if let (Some(m), Some(t0)) = (metrics, t0) {
-            m.observe_ns(Hist::DecodeChunkNs, t0.elapsed().as_nanos() as u64);
-            m.incr(Counter::TraceChunksDecoded);
-            m.add(Counter::TraceBytesDecoded, chunk.payload.len() as u64);
-        }
-        Ok(batch)
-    });
-    let mut batches = Vec::with_capacity(chunks.len());
-    let mut events = 0u64;
-    for batch in decoded {
-        let batch = batch?;
-        events += batch.len() as u64;
-        batches.push(batch);
-    }
+    let (batches, total_steps) = scan_and_decode(&mut reader, jobs, |chunk| {
+        decode_chunk_timed(chunk, metrics)
+    })?;
+    let events = batches.iter().map(|b| b.len() as u64).sum();
     if let Some(m) = metrics {
         m.add(Counter::TraceEventsDecoded, events);
     }
@@ -259,17 +244,7 @@ pub fn decode_batches_par_recover<R: Read>(
     let _decode_span = span_opt(metrics, Stage::Decode);
     let (chunks, total_steps, mut report) = reader.read_raw_chunks_recover();
     let jobs = jobs.max(1).min(chunks.len().max(1));
-    let decoded = decode_chunks_ordered(&chunks, jobs, |chunk| {
-        let t0 = metrics.map(|_| Instant::now());
-        let mut batch = EventBatch::with_capacity(chunk.events as usize);
-        decode_chunk_into(chunk, &mut batch)?;
-        if let (Some(m), Some(t0)) = (metrics, t0) {
-            m.observe_ns(Hist::DecodeChunkNs, t0.elapsed().as_nanos() as u64);
-            m.incr(Counter::TraceChunksDecoded);
-            m.add(Counter::TraceBytesDecoded, chunk.payload.len() as u64);
-        }
-        Ok(batch)
-    });
+    let decoded = decode_chunks_ordered(&chunks, jobs, |chunk| decode_chunk_timed(chunk, metrics));
     let mut batches = Vec::with_capacity(chunks.len());
     let mut events = 0u64;
     for (chunk, result) in chunks.iter().zip(decoded) {
@@ -303,7 +278,7 @@ mod tests {
     use super::*;
     use crate::writer::TraceWriter;
     use alchemist_lang::hir::FuncId;
-    use alchemist_vm::{Pc, RecordingSink, TraceSink};
+    use alchemist_vm::{Pc, RecordingSink, Tid, TraceSink};
 
     fn sample_trace(chunk_capacity: usize, rounds: u32) -> (Vec<u8>, RecordingSink) {
         sample_trace_with(

@@ -1,16 +1,22 @@
 //! Replay: a [`TraceReader`] decodes a recorded trace back into the exact
 //! event stream the interpreter produced, either one event at a time
-//! (`Iterator`), all at once into a sink ([`TraceReader::replay_into`]), or
-//! windowed by time with whole-chunk skipping
-//! ([`TraceReader::replay_window`]).
+//! (`Iterator`), in batches ([`TraceReader::read_batch`]), all at once into
+//! a sink ([`TraceReader::replay_into`]), or windowed by time with
+//! whole-chunk skipping ([`TraceReader::replay_window`]).
+//!
+//! Every mode decodes one chunk at a time into a staged [`EventBatch`]
+//! through [`format::decode_chunk_into`] and hands rows out of it. A chunk
+//! that fails to decode is dropped whole: no row of a corrupt chunk is ever
+//! delivered, in any mode.
 
 use crate::error::TraceError;
-use crate::format::{self, CodecState};
+use crate::format::{self, ChunkHead};
 use crate::varint;
-use alchemist_obs::{Counter, Metrics};
-use alchemist_vm::{Event, EventBatch, Tid, TraceSink};
+use alchemist_obs::{Counter, Hist, Metrics};
+use alchemist_vm::{Event, EventBatch, TraceSink};
 use std::io::Read;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Chunk-level metadata, decodable without touching the payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,9 +34,9 @@ pub struct ChunkInfo {
 /// One event-bearing chunk with its payload still encoded: the unit of
 /// work for parallel decode ([`decode_events_par`](crate::decode_events_par)).
 ///
-/// The delta codec resets at every chunk boundary ([`CodecState::new`]
-/// seeded with `t_first`), so a `RawChunk` decodes independently of every
-/// other chunk.
+/// The delta codec resets at every chunk boundary
+/// ([`format::CodecState::new`] seeded with `t_first`), so a `RawChunk`
+/// decodes independently of every other chunk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawChunk {
     /// Events in the chunk.
@@ -42,6 +48,17 @@ pub struct RawChunk {
     pub version: u16,
     /// The still-encoded payload.
     pub payload: Vec<u8>,
+}
+
+impl RawChunk {
+    /// The head [`format::decode_chunk_into`] decodes this chunk under.
+    pub(crate) fn head(&self) -> ChunkHead {
+        ChunkHead {
+            version: self.version,
+            events: self.events,
+            t_first: self.t_first,
+        }
+    }
 }
 
 /// What a full replay delivered.
@@ -152,15 +169,12 @@ pub struct TraceReader<R: Read> {
     input: Counting<R>,
     version: u16,
     source: Option<String>,
-    /// Payload of the chunk being decoded.
+    /// Payload of the chunk being read.
     chunk: Vec<u8>,
-    pos: usize,
-    remaining: u64,
-    /// Thread id per event of the chunk being decoded (v2 only).
-    chunk_tids: Vec<u32>,
-    /// Next index into `chunk_tids`.
-    tid_idx: usize,
-    state: CodecState,
+    /// The last decoded chunk's rows.
+    staged: EventBatch,
+    /// Index of the first staged row not yet delivered.
+    next: usize,
     total_steps: Option<u64>,
     finished: bool,
     events_read: u64,
@@ -221,11 +235,8 @@ impl<R: Read> TraceReader<R> {
             version,
             source,
             chunk: Vec::new(),
-            pos: 0,
-            remaining: 0,
-            chunk_tids: Vec::new(),
-            tid_idx: 0,
-            state: CodecState::new(0),
+            staged: EventBatch::new(),
+            next: 0,
             total_steps: None,
             finished: false,
             events_read: 0,
@@ -234,10 +245,11 @@ impl<R: Read> TraceReader<R> {
         })
     }
 
-    /// Attaches a metrics sink: streaming decode counts each loaded chunk
-    /// and its payload bytes, and folds the total decoded event count in at
-    /// the footer. Costs a couple of atomic adds per chunk, nothing per
-    /// event. (Chunk-parallel decode records through
+    /// Attaches a metrics sink: streaming decode counts each decoded chunk
+    /// and its payload bytes, records the chunk's decode time into
+    /// [`Hist::DecodeChunkNs`], and folds the delivered event count in at
+    /// the footer. Costs one clock pair and a few atomic adds per chunk,
+    /// nothing per event. (Chunk-parallel decode records through
     /// [`decode_batches_par_with`](crate::decode_batches_par_with) instead.)
     pub fn with_metrics(mut self, metrics: Arc<Metrics>) -> Self {
         self.metrics = Some(metrics);
@@ -260,7 +272,9 @@ impl<R: Read> TraceReader<R> {
         self.total_steps
     }
 
-    /// Events decoded so far.
+    /// Events delivered so far. Rows of a chunk that failed to decode, and
+    /// rows of a [`TraceReader::read_batch`] call that returned an error,
+    /// are never delivered and never counted.
     pub fn events_read(&self) -> u64 {
         self.events_read
     }
@@ -340,7 +354,27 @@ impl<R: Read> TraceReader<R> {
         Ok(steps)
     }
 
-    /// Loads the next event-bearing chunk. Returns `false` at end of trace.
+    /// Decodes the payload in `self.chunk` into the staged batch and
+    /// records the chunk in the metrics, if any.
+    fn decode_staged(&mut self, head: &ChunkHeader) -> Result<(), TraceError> {
+        let t0 = self.metrics.as_ref().map(|_| Instant::now());
+        let codec_head = ChunkHead {
+            version: self.version,
+            events: head.events,
+            t_first: head.t_first,
+        };
+        self.next = 0;
+        format::decode_chunk_into(codec_head, &self.chunk, &mut self.staged)?;
+        if let (Some(m), Some(t0)) = (&self.metrics, t0) {
+            m.observe_ns(Hist::DecodeChunkNs, t0.elapsed().as_nanos() as u64);
+            m.incr(Counter::TraceChunksDecoded);
+            m.add(Counter::TraceBytesDecoded, head.payload_len);
+        }
+        Ok(())
+    }
+
+    /// Reads and decodes the next event-bearing chunk into the staged
+    /// batch. Returns `false` at end of trace.
     fn load_next_chunk(&mut self) -> Result<bool, TraceError> {
         let Some(head) = self.read_chunk_header()? else {
             return Err(TraceError::Truncated("missing footer"));
@@ -350,18 +384,7 @@ impl<R: Read> TraceReader<R> {
             return Ok(false);
         }
         self.read_payload(&head)?;
-        if let Some(m) = &self.metrics {
-            m.incr(Counter::TraceChunksDecoded);
-            m.add(Counter::TraceBytesDecoded, head.payload_len);
-        }
-        self.pos = 0;
-        if self.version >= format::VERSION_V2 {
-            let n = head.events as usize;
-            format::decode_tid_column(&self.chunk, &mut self.pos, n, &mut self.chunk_tids)?;
-        }
-        self.tid_idx = 0;
-        self.remaining = head.events;
-        self.state = CodecState::new(head.t_first);
+        self.decode_staged(&head)?;
         Ok(true)
     }
 
@@ -373,23 +396,13 @@ impl<R: Read> TraceReader<R> {
     /// should be discarded.
     pub fn next_event(&mut self) -> Result<Option<Event>, TraceError> {
         loop {
-            if self.remaining > 0 {
-                let mut ev = format::decode_event(&mut self.state, &self.chunk, &mut self.pos)?;
-                if self.version >= format::VERSION_V2 {
-                    ev = ev.with_tid(Tid(self.chunk_tids[self.tid_idx]));
-                    self.tid_idx += 1;
-                }
-                self.remaining -= 1;
-                if self.remaining == 0 && self.pos != self.chunk.len() {
-                    return Err(TraceError::Malformed("trailing bytes in chunk"));
-                }
+            if self.next < self.staged.len() {
+                let ev = self.staged.get(self.next);
+                self.next += 1;
                 self.events_read += 1;
                 return Ok(Some(ev));
             }
-            if self.finished {
-                return Ok(None);
-            }
-            if !self.load_next_chunk()? {
+            if self.finished || !self.load_next_chunk()? {
                 return Ok(None);
             }
         }
@@ -422,23 +435,40 @@ impl<R: Read> TraceReader<R> {
         })
     }
 
-    /// Decodes up to `max` events (minimum 1) directly into `batch`,
-    /// clearing it first and crossing chunk boundaries as needed — no
-    /// intermediate `Vec<Event>` is materialized. Returns `false` once the
-    /// trace is exhausted and the batch stayed empty.
+    /// Fills `batch` (cleared first) with up to `max` events (minimum 1),
+    /// crossing chunk boundaries as needed. Rows are copied out of the
+    /// staged chunk one column slice at a time; no [`Event`] is built.
+    /// Returns `false` once the trace is exhausted and the batch stayed
+    /// empty.
     ///
     /// # Errors
     ///
-    /// Any [`TraceError`] the stream produces; rows already decoded into
-    /// `batch` are not rolled back.
+    /// Any [`TraceError`] the stream produces. On error `batch` is left
+    /// empty and none of its rows count as delivered
+    /// ([`TraceReader::events_read`]); the reader should be discarded.
     pub fn read_batch(&mut self, batch: &mut EventBatch, max: usize) -> Result<bool, TraceError> {
         batch.clear();
         let max = max.max(1);
         while batch.len() < max {
-            match self.next_event()? {
-                Some(ev) => batch.push_event(&ev),
-                None => break,
+            if self.next == self.staged.len() {
+                if self.finished {
+                    break;
+                }
+                match self.load_next_chunk() {
+                    Ok(true) => {}
+                    Ok(false) => break,
+                    Err(err) => {
+                        // Rows this call copied are not delivered.
+                        self.events_read -= batch.len() as u64;
+                        batch.clear();
+                        return Err(err);
+                    }
+                }
             }
+            let take = (max - batch.len()).min(self.staged.len() - self.next);
+            batch.extend_from_range(&self.staged, self.next..self.next + take);
+            self.next += take;
+            self.events_read += take as u64;
         }
         Ok(!batch.is_empty())
     }
@@ -449,11 +479,13 @@ impl<R: Read> TraceReader<R> {
     /// Delivers exactly the stream [`TraceReader::replay_into`] would —
     /// batch-unaware sinks observe identical per-event callbacks via the
     /// trait default — while batch-aware sinks pay one virtual call per
-    /// block. One `EventBatch` is reused for every block.
+    /// block. Each block is filled by [`TraceReader::read_batch`], column
+    /// slices copied out of the staged chunk into one reused batch.
     ///
     /// # Errors
     ///
-    /// Any decode error; blocks already delivered are not rolled back.
+    /// Any decode error; blocks already delivered are not rolled back, and
+    /// no row of the failing chunk reaches the sink.
     pub fn replay_batched_into<S: TraceSink + ?Sized>(
         &mut self,
         sink: &mut S,
@@ -479,47 +511,36 @@ impl<R: Read> TraceReader<R> {
     ///
     /// # Errors
     ///
-    /// Any decode error encountered in chunks that must be read.
+    /// Any decode error encountered in chunks that must be read; no row of
+    /// the failing chunk reaches the sink.
     pub fn replay_window<S: TraceSink + ?Sized>(
         &mut self,
         t_lo: u64,
         t_hi: u64,
         sink: &mut S,
     ) -> Result<u64, TraceError> {
-        let mut delivered = 0;
+        let before = self.events_read;
         loop {
             let Some(head) = self.read_chunk_header()? else {
                 return Err(TraceError::Truncated("missing footer"));
             };
             if head.events == 0 {
                 self.read_footer(&head)?;
-                return Ok(delivered);
+                return Ok(self.events_read - before);
             }
             let t_last = head.t_first.saturating_add(head.t_span);
             self.read_payload(&head)?;
             if t_last < t_lo || head.t_first > t_hi {
                 continue; // skip: payload consumed but never decoded
             }
-            self.pos = 0;
-            if self.version >= format::VERSION_V2 {
-                let n = head.events as usize;
-                format::decode_tid_column(&self.chunk, &mut self.pos, n, &mut self.chunk_tids)?;
-            }
-            self.state = CodecState::new(head.t_first);
-            for i in 0..head.events {
-                let mut ev = format::decode_event(&mut self.state, &self.chunk, &mut self.pos)?;
-                if self.version >= format::VERSION_V2 {
-                    ev = ev.with_tid(Tid(self.chunk_tids[i as usize]));
-                }
-                let t = ev.time();
-                if t_lo <= t && t <= t_hi {
-                    ev.dispatch(sink);
-                    delivered += 1;
+            self.decode_staged(&head)?;
+            for i in 0..self.staged.len() {
+                if (t_lo..=t_hi).contains(&self.staged.time(i)) {
+                    self.staged.get(i).dispatch(sink);
+                    self.events_read += 1;
                 }
             }
-            if self.pos != self.chunk.len() {
-                return Err(TraceError::Malformed("trailing bytes in chunk"));
-            }
+            self.next = self.staged.len();
         }
     }
 
@@ -536,23 +557,36 @@ impl<R: Read> TraceReader<R> {
     /// Structural errors only; payload corruption surfaces later, when a
     /// chunk is decoded.
     pub fn read_raw_chunks(&mut self) -> Result<(Vec<RawChunk>, u64), TraceError> {
+        let (chunks, end) = self.read_raw_chunks_partial();
+        end.map(|total_steps| (chunks, total_steps))
+    }
+
+    /// [`TraceReader::read_raw_chunks`] that keeps the chunks it read before
+    /// a structural error: returns them with the footer's step count, or
+    /// with the error that stopped the scan. Parallel decode uses the
+    /// prefix to report errors in the sequential reader's order.
+    pub(crate) fn read_raw_chunks_partial(&mut self) -> (Vec<RawChunk>, Result<u64, TraceError>) {
         let mut chunks = Vec::new();
-        loop {
-            let Some(head) = self.read_chunk_header()? else {
-                return Err(TraceError::Truncated("missing footer"));
+        let end = loop {
+            let head = match self.read_chunk_header() {
+                Ok(Some(head)) => head,
+                Ok(None) => break Err(TraceError::Truncated("missing footer")),
+                Err(err) => break Err(err),
             };
             if head.events == 0 {
-                let total_steps = self.read_footer(&head)?;
-                return Ok((chunks, total_steps));
+                break self.read_footer(&head);
             }
-            self.read_payload(&head)?;
+            if let Err(err) = self.read_payload(&head) {
+                break Err(err);
+            }
             chunks.push(RawChunk {
                 events: head.events,
                 t_first: head.t_first,
                 version: self.version,
                 payload: std::mem::take(&mut self.chunk),
             });
-        }
+        };
+        (chunks, end)
     }
 
     /// Reads chunk metadata for the whole trace without decoding any
@@ -711,7 +745,7 @@ mod tests {
     use super::*;
     use crate::writer::TraceWriter;
     use alchemist_lang::hir::FuncId;
-    use alchemist_vm::{Pc, RecordingSink};
+    use alchemist_vm::{Pc, RecordingSink, Tid};
 
     fn sample_trace(chunk_capacity: usize) -> (Vec<u8>, RecordingSink) {
         let mut live = RecordingSink::default();

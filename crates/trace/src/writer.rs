@@ -6,7 +6,7 @@ use crate::format::{self, CodecState};
 use crate::varint;
 use alchemist_lang::hir::FuncId;
 use alchemist_obs::{Counter, Hist, Metrics, Stage};
-use alchemist_vm::{BlockId, Event, EventBatch, Pc, Tid, Time, TraceSink};
+use alchemist_vm::{BlockId, EventBatch, EventTag, Pc, Tid, Time, TraceSink};
 use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
@@ -62,8 +62,8 @@ pub struct TraceWriter<W: Write> {
     version: u16,
     /// Encoded payload of the chunk being built.
     buf: Vec<u8>,
-    /// Thread id of each event in the chunk being built (v2 only).
-    chunk_tids: Vec<u32>,
+    /// Encoded thread-id column of the chunk being built (v2 and later).
+    tid_col: Vec<u8>,
     state: CodecState,
     chunk_events: u64,
     chunk_t_first: Time,
@@ -142,7 +142,7 @@ impl<W: Write> TraceWriter<W> {
             out,
             version,
             buf: Vec::with_capacity(4 * DEFAULT_CHUNK_EVENTS),
-            chunk_tids: Vec::new(),
+            tid_col: Vec::new(),
             state: CodecState::new(0),
             chunk_events: 0,
             chunk_t_first: 0,
@@ -207,29 +207,31 @@ impl<W: Write> TraceWriter<W> {
         self.bytes
     }
 
-    fn record(&mut self, ev: Event) {
+    /// Encodes one row (the columns of an [`EventBatch`] row) into the
+    /// chunk being built, flushing the chunk when it reaches capacity.
+    #[inline]
+    fn record(&mut self, tag: EventTag, t: Time, addr: u32, pc: u32, aux: u32, tid: Tid) {
         if self.deferred.is_some() {
             return;
         }
-        match self.version {
-            v if v >= format::VERSION_V2 => self.chunk_tids.push(ev.tid().0),
-            _ if ev.tid() != Tid::MAIN => {
-                // v1 has no thread-id column; silently dropping tids would
-                // corrupt the recording, so fail the run at finish().
-                self.deferred = Some(TraceError::Malformed(
-                    "non-main thread event recorded under trace format v1",
-                ));
-                return;
-            }
-            _ => {}
+        let v2 = self.version >= format::VERSION_V2;
+        if !v2 && tid != Tid::MAIN {
+            // v1 has no thread-id column; silently dropping tids would
+            // corrupt the recording, so fail the run at finish().
+            self.deferred = Some(TraceError::Malformed(
+                "non-main thread event recorded under trace format v1",
+            ));
+            return;
         }
-        let t = ev.time();
         if self.chunk_events == 0 {
             self.state = CodecState::new(t);
             self.chunk_t_first = t;
         }
         self.chunk_t_last = t;
-        format::encode_event(&mut self.state, &ev, &mut self.buf);
+        if v2 {
+            format::encode_tid(&mut self.state, tid.0, &mut self.tid_col);
+        }
+        format::encode_row(&mut self.state, tag, t, addr, pc, aux, &mut self.buf);
         self.chunk_events += 1;
         self.events += 1;
         if self.chunk_events as usize >= self.chunk_capacity {
@@ -246,28 +248,24 @@ impl<W: Write> TraceWriter<W> {
         let t0 = self.metrics.as_ref().map(|_| Instant::now());
         // v2 payload = thread-id column, then the v1 event stream. Both are
         // self-delimiting varint sequences, so no inner length prefix.
-        let mut tid_col = Vec::new();
-        if self.version >= format::VERSION_V2 {
-            format::encode_tid_column(&self.chunk_tids, &mut tid_col);
-        }
         let mut head = Vec::with_capacity(24);
-        varint::write_u64(&mut head, (tid_col.len() + self.buf.len()) as u64);
+        varint::write_u64(&mut head, (self.tid_col.len() + self.buf.len()) as u64);
         varint::write_u64(&mut head, self.chunk_events);
         varint::write_u64(&mut head, self.chunk_t_first);
         varint::write_u64(&mut head, self.chunk_t_last - self.chunk_t_first);
         if self.version >= format::VERSION_V3 {
             // v3: CRC-32 of the payload (tid column + event stream), not
             // counted in payload_len, between the head varints and payload.
-            let crc = format::crc32_concat(&tid_col, &self.buf);
+            let crc = format::crc32_concat(&self.tid_col, &self.buf);
             head.extend_from_slice(&crc.to_le_bytes());
         }
         self.out.write_all(&head)?;
-        self.out.write_all(&tid_col)?;
+        self.out.write_all(&self.tid_col)?;
         self.out.write_all(&self.buf)?;
-        self.bytes += (head.len() + tid_col.len() + self.buf.len()) as u64;
+        self.bytes += (head.len() + self.tid_col.len() + self.buf.len()) as u64;
         self.chunks += 1;
         self.buf.clear();
-        self.chunk_tids.clear();
+        self.tid_col.clear();
         self.chunk_events = 0;
         if self.checkpoint_interval != 0 && self.chunks.is_multiple_of(self.checkpoint_interval) {
             self.out.flush()?;
@@ -322,39 +320,47 @@ impl<W: Write> TraceWriter<W> {
 
 impl<W: Write> TraceSink for TraceWriter<W> {
     fn on_enter_function(&mut self, t: Time, func: FuncId, fp: u32, tid: Tid) {
-        self.record(Event::Enter { t, func, fp, tid });
+        self.record(EventTag::Enter, t, fp, 0, func.0, tid);
     }
     fn on_exit_function(&mut self, t: Time, func: FuncId, tid: Tid) {
-        self.record(Event::Exit { t, func, tid });
+        self.record(EventTag::Exit, t, 0, 0, func.0, tid);
     }
     fn on_block_entry(&mut self, t: Time, block: BlockId, tid: Tid) {
-        self.record(Event::Block { t, block, tid });
+        self.record(EventTag::Block, t, 0, 0, block.0, tid);
     }
     fn on_predicate(&mut self, t: Time, pc: Pc, block: BlockId, taken: bool, tid: Tid) {
-        self.record(Event::Predicate {
-            t,
-            pc,
-            block,
-            taken,
-            tid,
-        });
+        let tag = if taken {
+            EventTag::PredTaken
+        } else {
+            EventTag::PredNotTaken
+        };
+        self.record(tag, t, 0, pc.0, block.0, tid);
     }
     fn on_read(&mut self, t: Time, addr: u32, pc: Pc, tid: Tid) {
-        self.record(Event::Read { t, addr, pc, tid });
+        self.record(EventTag::Read, t, addr, pc.0, 0, tid);
     }
     fn on_write(&mut self, t: Time, addr: u32, pc: Pc, tid: Tid) {
-        self.record(Event::Write { t, addr, pc, tid });
+        self.record(EventTag::Write, t, addr, pc.0, 0, tid);
     }
+    /// Encodes the batch row by row through the same [`format::encode_row`]
+    /// call the per-event callbacks make, with no [`Event`] built in
+    /// between. Chunks still flush every `chunk_capacity` rows, so the
+    /// bytes — chunk boundaries included — equal recording event by event.
+    ///
+    /// [`Event`]: alchemist_vm::Event
     fn on_batch(&mut self, batch: &EventBatch) {
-        // One virtual call encodes the whole batch. The encode loop is the
-        // same as the per-event path (including the every-`chunk_capacity`
-        // flushes), so the byte stream — chunk boundaries and all — is
-        // identical to recording event by event.
         if self.deferred.is_some() {
             return;
         }
-        for ev in batch.iter() {
-            self.record(ev);
+        for i in 0..batch.len() {
+            self.record(
+                batch.tag(i),
+                batch.time(i),
+                batch.addr(i),
+                batch.pc(i),
+                batch.aux(i),
+                batch.tid(i),
+            );
         }
     }
 }
@@ -362,6 +368,7 @@ impl<W: Write> TraceSink for TraceWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alchemist_vm::Event;
 
     #[test]
     fn header_layout_is_stable() {

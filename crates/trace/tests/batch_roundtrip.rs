@@ -206,3 +206,58 @@ proptest! {
         prop_assert_eq!(back, events);
     }
 }
+
+/// Per-event encoding under format `version` (1, 2 or 3).
+fn encode_version(events: &[Event], total_steps: u64, chunk_cap: usize, version: u16) -> Vec<u8> {
+    let w = match version {
+        1 => TraceWriter::new(Vec::new(), None),
+        2 => TraceWriter::new_v2(Vec::new(), None),
+        _ => TraceWriter::new_v3(Vec::new(), None),
+    };
+    let mut w = w.unwrap().with_chunk_capacity(chunk_cap);
+    for e in events {
+        e.dispatch(&mut w);
+    }
+    w.finish(total_steps).unwrap().0
+}
+
+proptest! {
+    /// `read_batch` at any size in `1..=3×chunk` — changing from call to
+    /// call, so batch edges land before, on and past chunk edges — yields
+    /// exactly the per-event iteration's rows, and `events_read()` counts
+    /// the rows delivered so far after every call. v1, v2 and v3 traces.
+    #[test]
+    fn read_batch_at_any_size_equals_per_event_iteration(
+        raw in proptest::collection::vec(
+            (0u64..40, 0u8..7, 0u32..100_000, 0u32..100_000, any::<u8>()), 0..200),
+        version in 1u16..4,
+        chunk_cap in 1usize..33,
+        sizes in proptest::collection::vec(any::<usize>(), 1..8),
+    ) {
+        let tid_mod = if version == 1 { 1 } else { 5 };
+        let (events, total_steps) = build_events(&raw, tid_mod);
+        let bytes = encode_version(&events, total_steps, chunk_cap, version);
+        let reference: Vec<Event> =
+            TraceReader::new(bytes.as_slice()).unwrap().map(|e| e.unwrap()).collect();
+        prop_assert_eq!(&reference, &events);
+
+        let mut r = TraceReader::new(bytes.as_slice()).unwrap();
+        prop_assert_eq!(r.version(), version);
+        let mut batch = EventBatch::new();
+        let mut rows = Vec::with_capacity(events.len());
+        for max in sizes.iter().cycle().map(|s| 1 + s % (3 * chunk_cap)) {
+            if !r.read_batch(&mut batch, max).unwrap() {
+                break;
+            }
+            prop_assert!(batch.len() <= max);
+            rows.extend(batch.iter());
+            // Full batches until the trace runs out.
+            prop_assert!(batch.len() == max || rows.len() == events.len());
+            prop_assert_eq!(r.events_read(), rows.len() as u64);
+        }
+        prop_assert!(batch.is_empty());
+        prop_assert_eq!(&rows, &reference);
+        prop_assert_eq!(r.events_read(), events.len() as u64);
+        prop_assert_eq!(r.total_steps(), Some(total_steps));
+    }
+}

@@ -2,9 +2,13 @@
 //! must decode to typed [`TraceError`]s — never panic, never allocate
 //! unboundedly.
 
-use alchemist_trace::{decode_batches_par_recover, TraceError, TraceReader, TraceWriter};
-use alchemist_vm::{compile_source, ExecConfig, NullSink};
+use alchemist_trace::{
+    decode_batches_par, decode_batches_par_recover, format, varint, TraceError, TraceReader,
+    TraceWriter,
+};
+use alchemist_vm::{compile_source, Event, EventBatch, ExecConfig, NullSink, Tid};
 use proptest::prelude::*;
+use std::mem::Discriminant;
 
 /// A small but realistic trace: several chunks, all event kinds.
 fn valid_trace() -> Vec<u8> {
@@ -249,5 +253,159 @@ proptest! {
             prop_assert_eq!(report.events_salvaged, summary.events);
             prop_assert!(report.is_clean() || cut < bytes.len());
         }
+    }
+}
+
+/// A two-thread program, so the v2/v3 fixtures carry non-main tids.
+const THREADED_SRC: &str = "int g; int h;
+void work(int n) { int i; for (i = 0; i < n; i++) { h += i; } }
+int main() { int i; spawn { work(40); } for (i = 0; i < 30; i++) { if (i % 3 == 0) g += i; } join; return g + h; }";
+
+/// `THREADED_SRC` recorded under format `version` (2 or 3) in small chunks.
+fn threaded_trace(version: u16) -> Vec<u8> {
+    let module = compile_source(THREADED_SRC).expect("compiles");
+    let w = match version {
+        2 => TraceWriter::new_v2(Vec::new(), None),
+        _ => TraceWriter::new_v3(Vec::new(), None),
+    };
+    let mut w = w.expect("header").with_chunk_capacity(48);
+    let out = alchemist_vm::run(&module, &ExecConfig::default(), &mut w).expect("runs");
+    let (bytes, stats) = w.finish(out.steps).expect("finish");
+    assert!(stats.chunks >= 3, "test needs a multi-chunk trace");
+    bytes
+}
+
+/// What one reader made of a trace: every row it delivered, or the variant
+/// of the error it stopped with.
+type Outcome = Result<Vec<Event>, Discriminant<TraceError>>;
+
+fn variant(err: TraceError) -> Discriminant<TraceError> {
+    std::mem::discriminant(&err)
+}
+
+fn via_iteration(bytes: &[u8]) -> Outcome {
+    let reader = TraceReader::new(bytes).map_err(variant)?;
+    reader
+        .collect::<Result<Vec<Event>, TraceError>>()
+        .map_err(variant)
+}
+
+fn via_read_batch(bytes: &[u8], max: usize) -> Outcome {
+    let mut reader = TraceReader::new(bytes).map_err(variant)?;
+    let mut batch = EventBatch::new();
+    let mut rows = Vec::new();
+    while reader.read_batch(&mut batch, max).map_err(variant)? {
+        rows.extend(batch.iter());
+        assert_eq!(reader.events_read(), rows.len() as u64);
+    }
+    Ok(rows)
+}
+
+fn via_par(bytes: &[u8], jobs: usize) -> Outcome {
+    let reader = TraceReader::new(bytes).map_err(variant)?;
+    let (batches, _) = decode_batches_par(reader, jobs).map_err(variant)?;
+    Ok(batches.iter().flat_map(EventBatch::iter).collect())
+}
+
+/// Every reader must agree on `bytes`: the same rows, or the same error
+/// variant.
+fn readers_agree(bytes: &[u8]) -> Result<(), String> {
+    let reference = via_iteration(bytes);
+    let others = [1, 7, 48, 100, 4096]
+        .into_iter()
+        .map(|max| (format!("read_batch(max {max})"), via_read_batch(bytes, max)))
+        .chain([1, 2, 4].into_iter().map(|jobs| {
+            (
+                format!("decode_batches_par(jobs {jobs})"),
+                via_par(bytes, jobs),
+            )
+        }));
+    for (name, outcome) in others {
+        if outcome != reference {
+            return Err(format!(
+                "{name} disagrees with iteration: {outcome:?} vs {reference:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The fixture for format `version` (1, 2 or 3).
+fn fixture(version: u8) -> Vec<u8> {
+    match version {
+        1 => valid_trace(),
+        v => threaded_trace(u16::from(v)),
+    }
+}
+
+/// Offsets of every chunk-head byte of a well-formed trace, footer
+/// included: the bytes whose damage desynchronises the chunk walk.
+fn chunk_head_bytes(bytes: &[u8]) -> Vec<usize> {
+    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+    let flags = u16::from_le_bytes([bytes[6], bytes[7]]);
+    let mut pos = 8;
+    if flags & format::FLAG_SOURCE != 0 {
+        pos += varint::read_u64(bytes, &mut pos).expect("source length") as usize;
+    }
+    let mut heads = Vec::new();
+    while pos < bytes.len() {
+        let start = pos;
+        let payload_len = varint::read_u64(bytes, &mut pos).expect("payload length");
+        for _ in 0..3 {
+            varint::read_u64(bytes, &mut pos).expect("chunk head");
+        }
+        if version >= format::VERSION_V3 {
+            pos += 4;
+        }
+        heads.extend(start..pos);
+        pos += payload_len as usize;
+    }
+    heads
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Streaming `read_batch` at several sizes, per-event iteration and
+    /// chunk-parallel decode at 1, 2 and 4 jobs see a damaged trace the
+    /// same way: all deliver the same rows, or all fail with the same
+    /// error variant. Seeded byte flips (anywhere, or aimed at chunk heads,
+    /// where a flip can leave one chunk undecodable and the walk after it
+    /// out of sync) and truncations of v1, v2 and v3 traces.
+    #[test]
+    fn damaged_traces_read_the_same_through_every_reader(
+        version in 1u8..4,
+        damage in 0u8..4,
+        pick in any::<usize>(),
+        bit in 0u8..8,
+    ) {
+        let mut bytes = fixture(version);
+        match damage {
+            0 => {
+                let i = pick % bytes.len();
+                bytes[i] ^= 1 << bit;
+            }
+            1 | 2 => {
+                let heads = chunk_head_bytes(&bytes);
+                bytes[heads[pick % heads.len()]] ^= 1 << bit;
+            }
+            _ => bytes.truncate(pick % (bytes.len() + 1)),
+        }
+        if let Err(msg) = readers_agree(&bytes) {
+            panic!("v{version}, damage {damage}: {msg}");
+        }
+    }
+}
+
+#[test]
+fn undamaged_fixtures_read_the_same_through_every_reader() {
+    for version in 1..4 {
+        let bytes = fixture(version);
+        let rows = via_iteration(&bytes).expect("clean fixture decodes");
+        assert!(!rows.is_empty());
+        if version > 1 {
+            assert!(rows.iter().any(|e| e.tid() != Tid::MAIN), "v{version}");
+        }
+        readers_agree(&bytes).unwrap_or_else(|msg| panic!("v{version}: {msg}"));
     }
 }

@@ -90,6 +90,25 @@ pub struct EventBatch {
     tids: Vec<u32>,
 }
 
+/// Every column of an [`EventBatch`], borrowed mutably with one common
+/// length ([`EventBatch::columns_for`]). Fields follow the column meanings
+/// documented on [`EventTag`].
+#[derive(Debug)]
+pub struct ColumnsMut<'a> {
+    /// Row kinds.
+    pub tags: &'a mut [EventTag],
+    /// Timestamps.
+    pub times: &'a mut [Time],
+    /// Word address / frame base.
+    pub addrs: &'a mut [u32],
+    /// Program counters.
+    pub pcs: &'a mut [u32],
+    /// Function id / block id.
+    pub auxs: &'a mut [u32],
+    /// Raw thread ids.
+    pub tids: &'a mut [u32],
+}
+
 impl EventBatch {
     /// An empty batch.
     pub fn new() -> Self {
@@ -125,6 +144,44 @@ impl EventBatch {
     /// Whether the batch holds no rows.
     pub fn is_empty(&self) -> bool {
         self.tags.is_empty()
+    }
+
+    /// Appends rows `range` of `src`, one slice copy per column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is out of bounds for `src`.
+    pub fn extend_from_range(&mut self, src: &EventBatch, range: std::ops::Range<usize>) {
+        self.tags.extend_from_slice(&src.tags[range.clone()]);
+        self.times.extend_from_slice(&src.times[range.clone()]);
+        self.addrs.extend_from_slice(&src.addrs[range.clone()]);
+        self.pcs.extend_from_slice(&src.pcs[range.clone()]);
+        self.auxs.extend_from_slice(&src.auxs[range.clone()]);
+        self.tids.extend_from_slice(&src.tids[range]);
+    }
+
+    /// Resizes the batch to exactly `n` rows and lends out every column
+    /// for writing by index — the bulk-fill path of the trace decoder.
+    ///
+    /// Rows that survive the resize keep their old values and new rows are
+    /// zero rows (tag [`EventTag::Enter`]); the caller is expected to
+    /// overwrite every column of every row, honouring the zero convention
+    /// for columns a row's tag does not use.
+    pub fn columns_for(&mut self, n: usize) -> ColumnsMut<'_> {
+        self.tags.resize(n, EventTag::Enter);
+        self.times.resize(n, 0);
+        self.addrs.resize(n, 0);
+        self.pcs.resize(n, 0);
+        self.auxs.resize(n, 0);
+        self.tids.resize(n, 0);
+        ColumnsMut {
+            tags: &mut self.tags,
+            times: &mut self.times,
+            addrs: &mut self.addrs,
+            pcs: &mut self.pcs,
+            auxs: &mut self.auxs,
+            tids: &mut self.tids,
+        }
     }
 
     /// Removes all rows, keeping the columns' capacity for reuse.
@@ -536,6 +593,54 @@ mod tests {
         let mut expect: Vec<Event> = src.iter().collect();
         expect.reverse();
         assert_eq!(reversed, expect);
+    }
+
+    #[test]
+    fn extend_from_range_copies_a_row_slice() {
+        let src = EventBatch::from_events(&sample_events());
+        let mut dst = EventBatch::from_events(&sample_events()[..1]);
+        dst.extend_from_range(&src, 2..5);
+        let got: Vec<Event> = dst.iter().collect();
+        let mut expect = vec![sample_events()[0]];
+        expect.extend_from_slice(&sample_events()[2..5]);
+        assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn columns_for_resizes_every_column_and_writes_through() {
+        let mut batch = EventBatch::from_events(&sample_events());
+        let cols = batch.columns_for(2);
+        assert_eq!(cols.tags.len(), 2);
+        assert_eq!(cols.tids.len(), 2);
+        cols.tags[1] = EventTag::Read;
+        cols.times[1] = 9;
+        cols.addrs[1] = 77;
+        cols.pcs[1] = 5;
+        cols.auxs[1] = 0;
+        cols.tids[1] = 3;
+        assert_eq!(batch.len(), 2);
+        assert_eq!(batch.get(0), sample_events()[0]);
+        assert_eq!(
+            batch.get(1),
+            Event::Read {
+                t: 9,
+                addr: 77,
+                pc: Pc(5),
+                tid: Tid(3)
+            }
+        );
+        let cols = batch.columns_for(4);
+        assert_eq!(cols.times.len(), 4);
+        // Grown rows are zero rows.
+        assert_eq!(
+            batch.get(3),
+            Event::Enter {
+                t: 0,
+                func: FuncId(0),
+                fp: 0,
+                tid: Tid::MAIN
+            }
+        );
     }
 
     #[test]

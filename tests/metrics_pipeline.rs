@@ -10,7 +10,7 @@ use alchemist_core::{
     profile_batches_par_spec, profile_batches_par_with, ProfileConfig, ShardSpec, ShardTuning,
     PAGE_SHIFT, SHARD_FLUSH_EVENTS,
 };
-use alchemist_obs::{Counter, Metrics, MetricsReport, Stage, SCHEMA_VERSION};
+use alchemist_obs::{Counter, Hist, Metrics, MetricsReport, Stage, SCHEMA_VERSION};
 use alchemist_trace::{decode_batches_par_with, TraceReader, TraceWriter};
 use alchemist_vm::{run_with_metrics, Event, EventBatch, Module, DEFAULT_BATCH_EVENTS};
 use alchemist_workloads::Scale;
@@ -329,4 +329,30 @@ fn populated_report_round_trips_through_json() {
     let back = MetricsReport::from_json(&json).expect("parse");
     assert_eq!(back, report);
     assert_eq!(back.to_json(), json, "re-serialization is byte-identical");
+}
+
+#[test]
+fn sequential_replay_times_every_decoded_chunk() {
+    for w in alchemist_workloads::all() {
+        let (_, bytes, steps, _) = record_live(w);
+        let m = Arc::new(Metrics::new());
+        let mut reader = TraceReader::new(bytes.as_slice())
+            .expect("header")
+            .with_metrics(Arc::clone(&m));
+        let summary = reader
+            .replay_batched_into(&mut alchemist_vm::NullSink, DEFAULT_BATCH_EVENTS)
+            .expect("seq replay");
+        assert_eq!(summary.total_steps, steps, "{}", w.name);
+        let chunks = m.get(Counter::TraceChunksDecoded);
+        assert!(chunks > 0, "{}: no chunk decoded", w.name);
+        let (count, total_ns) = m.hist_totals(Hist::DecodeChunkNs);
+        assert_eq!(count, chunks, "{}: one decode time per chunk", w.name);
+        assert!(total_ns > 0, "{}", w.name);
+        assert_eq!(
+            m.get(Counter::TraceEventsDecoded),
+            summary.events,
+            "{}",
+            w.name
+        );
+    }
 }
