@@ -41,9 +41,11 @@
 //! can be diffed across commits without scraping bench logs. `cpus`
 //! records the parallelism the numbers were taken under.
 
-use alchemist_core::{profile_batches_par, AlchemistProfiler, ProfileConfig};
+use alchemist_core::{
+    profile_batches_par_spec, AlchemistProfiler, ProfileConfig, ShardSpec, ShardTuning,
+};
 use alchemist_obs::{Counter, Metrics};
-use alchemist_trace::{decode_batches_par, TraceReader, TraceWriter};
+use alchemist_trace::{decode_batches_par_with, TraceReader, TraceWriter};
 use alchemist_vm::DEFAULT_BATCH_EVENTS;
 use alchemist_workloads::Scale;
 use std::io::Write as _;
@@ -123,13 +125,15 @@ fn measure_replay(
 
     let par_ns = best_of(iters, || {
         let reader = TraceReader::new(bytes).expect("header");
-        let (batches, summary) = decode_batches_par(reader, 4).expect("decode");
-        let (profile, _, _) = profile_batches_par(
+        let (batches, summary) = decode_batches_par_with(reader, 4, None).expect("decode");
+        let (profile, _, _) = profile_batches_par_spec(
             &module,
             &batches,
             summary.total_steps,
             ProfileConfig::default(),
-            4,
+            ShardSpec::for_batches(&batches, 4),
+            ShardTuning::default(),
+            None,
         )
         .expect("no shard panic");
         let _ = std::hint::black_box(profile);

@@ -16,14 +16,14 @@
 //!   flushing whole batches into `TraceWriter::on_batch`;
 //! * `replay_profile` vs `replay_profile_batched` — event-at-a-time
 //!   dispatch vs `replay_batched_into` feeding the profiler's `on_batch`;
-//! * `replay_profile_par{2,4}` vs `replay_profile_batched_par{2,4}` — the
-//!   `--jobs N` pipeline: per-event shard filtering (every worker scans
-//!   the whole stream) vs `decode_batches_par` + single-pass batch
-//!   partitioning (`profile_batches_par`).
+//! * `replay_profile_batched_par{2,4}` — the `--jobs N` pipeline:
+//!   `decode_batches_par_with` + single-pass batch partitioning
+//!   (`profile_batches_par_spec`), with `analysis_batched_par4_predecoded`
+//!   isolating the sharded analysis from the decode.
 //!
 //! The batched paths are verified at setup to produce byte-identical
-//! `.alct` bytes and an equal `DepProfile`, so the timings compare equal
-//! work. Control events are broadcast to every shard, so sharding only
+//! `.alct` bytes and a `DepProfile` equal to sequential `profile_events`,
+//! so the timings compare equal work. Control events are broadcast to every shard, so sharding only
 //! wins on memory-dominated traces — the per-shard counts printed above
 //! the timings show both the balance of the address split and the
 //! broadcast fraction that bounds the speedup.
@@ -33,13 +33,13 @@
 //! compiles and runs without paying for stable statistics).
 
 use alchemist_core::{
-    profile_batches_par, profile_events_par, profile_module, shard_event_counts, AlchemistProfiler,
-    ProfileConfig,
+    profile_batches_par_spec, profile_events, profile_module, shard_batch_counts_spec,
+    AlchemistProfiler, DepProfile, ProfileConfig, ShardSpec, ShardTuning,
 };
-use alchemist_trace::{
-    decode_batches_par, decode_events_par, MultiSink, TraceReader, TraceStats, TraceWriter,
+use alchemist_trace::{decode_batches_par_with, MultiSink, TraceReader, TraceStats, TraceWriter};
+use alchemist_vm::{
+    CountingSink, Event, EventBatch, ExecConfig, Module, TraceSink, DEFAULT_BATCH_EVENTS,
 };
-use alchemist_vm::{CountingSink, ExecConfig, TraceSink, DEFAULT_BATCH_EVENTS};
 use alchemist_workloads::Scale;
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -61,6 +61,22 @@ fn record_bytes(w: &alchemist_workloads::Workload, batch_events: usize) -> (Vec<
     .expect("header");
     let outcome = alchemist_vm::run(&module, &cfg, &mut writer).expect("runs");
     writer.finish(outcome.steps).expect("finish")
+}
+
+/// The `--jobs N` analysis: choose the partition, then profile through it.
+fn profile_par(module: &Module, batches: &[EventBatch], steps: u64, jobs: usize) -> DepProfile {
+    let spec = ShardSpec::for_batches(batches, jobs as u32);
+    let (profile, _, _) = profile_batches_par_spec(
+        module,
+        batches,
+        steps,
+        ProfileConfig::default(),
+        spec,
+        ShardTuning::default(),
+        None,
+    )
+    .expect("no shard panic");
+    profile
 }
 
 fn bench_workload(c: &mut Criterion, name: &'static str) {
@@ -86,24 +102,26 @@ fn bench_workload(c: &mut Criterion, name: &'static str) {
         stats.bytes_per_event(),
         stats.chunks
     );
-    let (events, summary) =
-        decode_events_par(TraceReader::new(bytes.as_slice()).expect("header"), 4).expect("decode");
-    let (batches, _) = decode_batches_par(TraceReader::new(bytes.as_slice()).expect("header"), 4)
-        .expect("batch decode");
+    let events: Vec<Event> = TraceReader::new(bytes.as_slice())
+        .expect("header")
+        .map(|e| e.expect("decode"))
+        .collect();
+    let (batches, summary) =
+        decode_batches_par_with(TraceReader::new(bytes.as_slice()).expect("header"), 4, None)
+            .expect("batch decode");
     {
-        let (seq, ..) = profile_module(&module, &cfg, ProfileConfig::default()).expect("runs");
-        let (bat, ..) = profile_batches_par(
+        let (seq, ..) = profile_events(
             &module,
-            &batches,
+            events.iter().copied(),
             summary.total_steps,
             ProfileConfig::default(),
-            4,
-        )
-        .expect("no shard panic");
+        );
+        let bat = profile_par(&module, &batches, summary.total_steps, 4);
         assert_eq!(bat, seq, "{name}: batched sharded profile must be equal");
     }
     for jobs in [2usize, 4] {
-        let counts = shard_event_counts(&events, jobs);
+        let counts =
+            shard_batch_counts_spec(&batches, ShardSpec::for_batches(&batches, jobs as u32));
         let shares: Vec<String> = counts.iter().map(|n| n.to_string()).collect();
         println!(
             "{name}: memory events per shard at --jobs {jobs}: {}",
@@ -153,67 +171,22 @@ fn bench_workload(c: &mut Criterion, name: &'static str) {
             prof.into_profile(summary.total_steps)
         })
     });
-    // Parallel replay, full pipeline (what `replay --jobs N` runs):
-    // per-event shard filtering vs batch decode + single-pass partitioning.
+    // Parallel replay, full pipeline (what `replay --jobs N` runs): batch
+    // decode + single-pass partitioning.
     for jobs in [2usize, 4] {
-        group.bench_function(&format!("replay_profile_par{jobs}"), |b| {
-            b.iter(|| {
-                let reader = TraceReader::new(bytes.as_slice()).expect("header");
-                let (events, summary) = decode_events_par(reader, jobs).expect("decode");
-                let (profile, _, _) = profile_events_par(
-                    &module,
-                    &events,
-                    summary.total_steps,
-                    ProfileConfig::default(),
-                    jobs,
-                )
-                .expect("no shard panic");
-                profile
-            })
-        });
         group.bench_function(&format!("replay_profile_batched_par{jobs}"), |b| {
             b.iter(|| {
                 let reader = TraceReader::new(bytes.as_slice()).expect("header");
-                let (batches, summary) = decode_batches_par(reader, jobs).expect("decode");
-                let (profile, _, _) = profile_batches_par(
-                    &module,
-                    &batches,
-                    summary.total_steps,
-                    ProfileConfig::default(),
-                    jobs,
-                )
-                .expect("no shard panic");
-                profile
+                let (batches, summary) =
+                    decode_batches_par_with(reader, jobs, None).expect("decode");
+                profile_par(&module, &batches, summary.total_steps, jobs)
             })
         });
     }
     // Analysis-only parallel replay over pre-decoded input (isolates the
-    // sharded-shadow speedup from the decode), per-event vs batched.
-    group.bench_function("analysis_par4_predecoded", |b| {
-        b.iter(|| {
-            let (profile, _, _) = profile_events_par(
-                &module,
-                &events,
-                summary.total_steps,
-                ProfileConfig::default(),
-                4,
-            )
-            .expect("no shard panic");
-            profile
-        })
-    });
+    // sharded-shadow speedup from the decode).
     group.bench_function("analysis_batched_par4_predecoded", |b| {
-        b.iter(|| {
-            let (profile, _, _) = profile_batches_par(
-                &module,
-                &batches,
-                summary.total_steps,
-                ProfileConfig::default(),
-                4,
-            )
-            .expect("no shard panic");
-            profile
-        })
+        b.iter(|| profile_par(&module, &batches, summary.total_steps, 4))
     });
     // Fan-out: the dynamic-dispatch case batching exists for. A MultiSink
     // holds `dyn TraceSink` consumers, so the per-event path pays three

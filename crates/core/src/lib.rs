@@ -71,11 +71,8 @@ pub use report::{ConstructReport, EdgeReport, Fig6Point, ProfileReport};
 pub use runner::{profile_batches, profile_events, profile_module, profile_source, ProfileOutcome};
 pub use shadow::{ShadowStats, INLINE_READERS, PAGE_SHIFT, PAGE_WORDS};
 pub use shard::{
-    merge_shard_profiles, partition_batch, profile_batches_par, profile_batches_par_spec,
-    profile_batches_par_with, profile_events_par, run_sharded, run_sharded_batched,
-    run_sharded_batched_spec, run_sharded_batched_with, run_sharded_spec, shard_batch_counts,
-    shard_batch_counts_spec, shard_event_counts, shard_event_counts_spec, ShardError, ShardFilter,
-    ShardSpec, ShardTuning, CANDIDATE_SHIFTS, MAX_SHARD_IMBALANCE, SHARD_CHANNEL_DEPTH,
-    SHARD_FLUSH_EVENTS,
+    merge_shard_profiles, partition_batch, profile_batches_par_spec, run_sharded_batched,
+    shard_batch_counts_spec, ShardError, ShardSpec, ShardTuning, CANDIDATE_SHIFTS,
+    MAX_SHARD_IMBALANCE, SHARD_CHANNEL_DEPTH, SHARD_FLUSH_EVENTS,
 };
 pub use stats::{constructs_to_csv, edges_to_csv, DistanceHistogram};

@@ -134,7 +134,7 @@ where
 /// per event.
 ///
 /// The batches jointly carry a recorded run's event stream in order (e.g.
-/// from `alchemist_trace::decode_batches_par`); the resulting
+/// from `alchemist_trace::decode_batches_par_with`); the resulting
 /// [`DepProfile`] equals both the per-event replay and live
 /// instrumentation of that run.
 pub fn profile_batches(

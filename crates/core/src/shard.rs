@@ -1,6 +1,6 @@
 //! Address-sharded parallel replay.
 //!
-//! The offline analyses ([`profile_events`], task
+//! The offline analyses ([`profile_batches`], task
 //! extraction) are pure functions of a recorded event stream, which makes
 //! them parallelizable without touching the capture side. The scheme is the
 //! classic shadow-memory sharding used by parallel memory profilers:
@@ -22,7 +22,9 @@
 //!
 //! The result is **equal** (`==`) to the sequential and live profiles: the
 //! determinism guarantee the `replay --jobs N` CLI path and the CI parity
-//! gate assert for every bundled workload.
+//! gate assert for every bundled workload. Callers choose the partition
+//! once per stream ([`ShardSpec::for_batches`]) and pass that spec to every
+//! sharded operation; [`run_sharded_batched`] is the one fan-out.
 //!
 //! Memory note: the partition starts page-granular —
 //! `(addr >> PAGE_SHIFT) % jobs` with the page size matched to
@@ -47,11 +49,10 @@
 use crate::pool::PoolStats;
 use crate::profile::DepProfile;
 use crate::profiler::{AlchemistProfiler, ProfileConfig};
-use crate::runner::{profile_batches, profile_events};
+use crate::runner::profile_batches;
 use crate::shadow::PAGE_SHIFT;
-use alchemist_lang::hir::FuncId;
 use alchemist_obs::{span_opt, Counter, Metrics, ShardMetrics, Stage};
-use alchemist_vm::{BlockId, Event, EventBatch, Module, Pc, Tid, Time, TraceSink};
+use alchemist_vm::{EventBatch, Module, TraceSink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -151,8 +152,8 @@ const CHOOSER_SAMPLE_ROWS: usize = 1 << 21;
 ///
 /// `shift = PAGE_SHIFT` gives whole-page ownership (each worker faults
 /// only its own shadow pages); `shift = 0` is single-word interleaving
-/// (best balance, `jobs ×` page duplication). [`ShardSpec::for_batches`] /
-/// [`ShardSpec::for_events`] pick the coarsest balanced stride for a
+/// (best balance, `jobs ×` page duplication). [`ShardSpec::for_batches`]
+/// picks the coarsest balanced stride for a
 /// concrete stream; the choice is a pure function of the stream and `jobs`,
 /// so sequential/parallel parity holds for every choice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -211,19 +212,6 @@ impl ShardSpec {
             .map(|(b, i)| b.addr(i));
         Self::with_shift(jobs, choose_shift(jobs, addrs))
     }
-
-    /// [`ShardSpec::for_batches`] over a per-event stream.
-    pub fn for_events(events: &[Event], jobs: u32) -> Self {
-        if jobs <= 1 {
-            return Self::with_shift(jobs, PAGE_SHIFT);
-        }
-        let stride = (events.len() / CHOOSER_SAMPLE_ROWS).max(1);
-        let addrs = events.iter().step_by(stride).filter_map(|ev| match *ev {
-            Event::Read { addr, .. } | Event::Write { addr, .. } => Some(addr),
-            _ => None,
-        });
-        Self::with_shift(jobs, choose_shift(jobs, addrs))
-    }
 }
 
 /// One counting pass over (sampled) memory addresses, tallying every
@@ -273,8 +261,9 @@ pub const SHARD_CHANNEL_DEPTH: usize = 16;
 /// over thousands of events.
 pub const SHARD_FLUSH_EVENTS: usize = 4096;
 
-/// Tunables for the batched fan-out's channel hand-off (the CLI exposes
-/// them as `replay --shard-depth` / `--shard-flush`).
+/// Tunables for the batched fan-out's channel hand-off. Every production
+/// caller uses [`ShardTuning::default`]; tests set degenerate values to
+/// stress the hand-off.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardTuning {
     /// Bounded channel capacity, in sub-batches, per shard
@@ -305,93 +294,6 @@ impl ShardTuning {
     }
 }
 
-/// A [`TraceSink`] adapter that forwards every control event to `inner` but
-/// only the memory events whose address belongs to one shard.
-///
-/// Wrapping any sequential analysis sink in a `ShardFilter` per worker is
-/// all it takes to shard it: the inner sink observes the exact sub-stream
-/// the sequential run would deliver for its addresses, in the same order
-/// and with the same timestamps.
-#[derive(Debug)]
-pub struct ShardFilter<S> {
-    shard: u32,
-    spec: ShardSpec,
-    inner: S,
-    /// Reused sub-batch for the `on_batch` bulk path.
-    scratch: EventBatch,
-}
-
-impl<S> ShardFilter<S> {
-    /// Wraps `inner` as shard `shard` of `spec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= spec.jobs()` (the filter would drop every
-    /// memory event).
-    pub fn new(shard: u32, spec: ShardSpec, inner: S) -> Self {
-        assert!(
-            shard < spec.jobs(),
-            "shard {shard} out of range for {} jobs",
-            spec.jobs()
-        );
-        ShardFilter {
-            shard,
-            spec,
-            inner,
-            scratch: EventBatch::new(),
-        }
-    }
-
-    /// Unwraps the inner sink.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
-    #[inline]
-    fn owns(&self, addr: u32) -> bool {
-        self.spec.shard_of(addr) == self.shard
-    }
-}
-
-impl<S: TraceSink> TraceSink for ShardFilter<S> {
-    fn on_enter_function(&mut self, t: Time, func: FuncId, fp: u32, tid: Tid) {
-        self.inner.on_enter_function(t, func, fp, tid);
-    }
-    fn on_exit_function(&mut self, t: Time, func: FuncId, tid: Tid) {
-        self.inner.on_exit_function(t, func, tid);
-    }
-    fn on_block_entry(&mut self, t: Time, block: BlockId, tid: Tid) {
-        self.inner.on_block_entry(t, block, tid);
-    }
-    fn on_predicate(&mut self, t: Time, pc: Pc, block: BlockId, taken: bool, tid: Tid) {
-        self.inner.on_predicate(t, pc, block, taken, tid);
-    }
-    fn on_read(&mut self, t: Time, addr: u32, pc: Pc, tid: Tid) {
-        if self.owns(addr) {
-            self.inner.on_read(t, addr, pc, tid);
-        }
-    }
-    fn on_write(&mut self, t: Time, addr: u32, pc: Pc, tid: Tid) {
-        if self.owns(addr) {
-            self.inner.on_write(t, addr, pc, tid);
-        }
-    }
-    fn on_batch(&mut self, batch: &EventBatch) {
-        // Single pass: copy the shard's sub-stream (all control rows plus
-        // owned memory rows) into the reusable scratch batch, then hand the
-        // inner sink one bulk call.
-        self.scratch.clear();
-        for i in 0..batch.len() {
-            if !batch.tag(i).is_memory() || self.owns(batch.addr(i)) {
-                self.scratch.push_index(batch, i);
-            }
-        }
-        let scratch = std::mem::take(&mut self.scratch);
-        self.inner.on_batch(&scratch);
-        self.scratch = scratch; // keep the capacity for the next batch
-    }
-}
-
 /// Appends one batch's rows to per-shard accumulators in a single pass:
 /// control rows go to every accumulator, memory rows only to the shard
 /// owning their address under `spec`.
@@ -410,8 +312,9 @@ fn partition_into(batch: &EventBatch, spec: ShardSpec, accs: &mut [EventBatch]) 
 /// Splits one batch into `spec.jobs()` per-shard sub-batches in a single
 /// pass: control rows are appended to every sub-batch, memory rows only to
 /// the shard owning their address ([`ShardSpec::shard_of`]). Concatenating
-/// sub-batch `k` across a batch stream therefore reproduces exactly the
-/// event sub-stream a [`ShardFilter`] for shard `k` would deliver.
+/// sub-batch `k` across a batch stream therefore reproduces, in recorded
+/// order, every control event plus exactly the memory events shard `k`
+/// owns.
 pub fn partition_batch(batch: &EventBatch, spec: ShardSpec) -> Vec<EventBatch> {
     let jobs = spec.jobs();
     // Size sub-batches from one cheap tag scan — every sub-batch carries
@@ -427,137 +330,25 @@ pub fn partition_batch(batch: &EventBatch, spec: ShardSpec) -> Vec<EventBatch> {
     subs
 }
 
-/// Runs one sink per address shard over `events` on scoped worker threads
-/// and returns the finished sinks in shard order. The partition is chosen
-/// by [`ShardSpec::for_events`].
+/// Runs one sink per address shard of `spec` over a batch stream on scoped
+/// worker threads and returns the finished sinks in shard order.
 ///
-/// This is the shared fan-out primitive behind [`profile_events_par`] and
-/// `alchemist_parsim::extract_tasks_from_events_par`: `make_sink(k)`
-/// builds the sequential analysis sink for shard `k`, each worker wraps it
-/// in a [`ShardFilter`] and dispatches the whole stream, and the caller
-/// merges the returned sinks however its analysis requires.
+/// `make_sink(k)` builds shard `k`'s sequential analysis sink; the caller
+/// merges the returned sinks. Each batch is partitioned once, in a single
+/// pass ([`partition_batch`]'s rule); sub-batches accumulate until they hold
+/// `tuning.flush_events` rows, then stream to the workers through bounded
+/// channels of `tuning.channel_depth` whose consumed batches are pooled back
+/// to the sender, so steady-state partitioning allocates nothing.
 ///
-/// # Errors
-///
-/// [`ShardError`] if any worker panicked; the surviving workers are joined
-/// first, so no thread outlives the call.
-pub fn run_sharded<S, F>(events: &[Event], jobs: usize, make_sink: F) -> Result<Vec<S>, ShardError>
-where
-    S: TraceSink + Send,
-    F: Fn(u32) -> S + Sync,
-{
-    let jobs = jobs.clamp(1, u32::MAX as usize);
-    let spec = ShardSpec::for_events(events, jobs as u32);
-    run_sharded_spec(events, spec, make_sink)
-}
-
-/// [`run_sharded`] with an explicit, caller-chosen partition.
+/// With `metrics`, the partition loop runs under a `shard_partition` span
+/// and per-shard send/recv waits, busy time and row counts are recorded at
+/// one clock pair per sub-batch; with `None` there are no clock reads.
 ///
 /// # Errors
 ///
-/// [`ShardError`] if any worker panicked; the surviving workers are joined
-/// first, so no thread outlives the call.
-pub fn run_sharded_spec<S, F>(
-    events: &[Event],
-    spec: ShardSpec,
-    make_sink: F,
-) -> Result<Vec<S>, ShardError>
-where
-    S: TraceSink + Send,
-    F: Fn(u32) -> S + Sync,
-{
-    std::thread::scope(|s| {
-        let make_sink = &make_sink;
-        let handles: Vec<_> = (0..spec.jobs())
-            .map(|k| {
-                s.spawn(move || {
-                    let mut done = 0u64;
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        let mut filter = ShardFilter::new(k, spec, make_sink(k));
-                        for ev in events {
-                            ev.dispatch(&mut filter);
-                            done += 1;
-                        }
-                        filter.into_inner()
-                    }));
-                    result.map_err(|payload| (done, panic_message(payload)))
-                })
-            })
-            .collect();
-        join_shards(handles)
-    })
-}
-
-/// Batched twin of [`run_sharded`]: runs one sink per address shard over a
-/// stream of [`EventBatch`]es.
-///
-/// Unlike the per-event path — where every worker scans the *whole* stream
-/// behind a [`ShardFilter`] (O(jobs × N) filtering) — this splits each
-/// batch into per-shard sub-batches **once**, in a single pass, then lets
-/// every worker consume only its own sub-batches via bulk
-/// [`TraceSink::on_batch`] calls. Each worker's sink observes exactly the
-/// sub-stream the filter would deliver, so analyses merge identically.
-///
-/// Sub-batches accumulate sender-side until they hold at least
-/// [`SHARD_FLUSH_EVENTS`] rows, then stream to the workers through bounded
-/// channels whose consumed batches are pooled back to the sender — the
-/// hand-off costs one channel round-trip per *thousands* of events and
-/// steady-state partitioning allocates nothing. Peak in-flight memory is
-/// `jobs × SHARD_CHANNEL_DEPTH` sub-batches.
-///
-/// # Errors
-///
-/// [`ShardError`] if any worker panicked. A dead worker's channel simply
-/// stops accepting sends — the sender keeps feeding the surviving shards,
-/// which drain and join cleanly before the error is returned.
+/// [`ShardError`] if any worker panicked. A dead worker's channel stops
+/// accepting sends; the surviving shards drain and join first.
 pub fn run_sharded_batched<S, F>(
-    batches: &[EventBatch],
-    jobs: usize,
-    make_sink: F,
-) -> Result<Vec<S>, ShardError>
-where
-    S: TraceSink + Send,
-    F: Fn(u32) -> S + Sync,
-{
-    run_sharded_batched_with(batches, jobs, ShardTuning::default(), None, make_sink)
-}
-
-/// [`run_sharded_batched`] with explicit hand-off tuning and optional
-/// self-instrumentation: when `metrics` is `Some`, the partition/send loop
-/// runs under a `shard_partition` stage span, the sender's per-shard
-/// channel-send wait and the workers' recv-wait / busy time / delivered
-/// row counts are folded into per-shard [`ShardMetrics`] at join, and the
-/// batch/sub-batch counters are bumped. All timing is one clock pair per
-/// *sub-batch* (thousands of events), and with `None` this *is*
-/// [`run_sharded_batched`] — no clock reads at all.
-///
-/// # Errors
-///
-/// [`ShardError`] if any worker panicked (see [`run_sharded_batched`]).
-pub fn run_sharded_batched_with<S, F>(
-    batches: &[EventBatch],
-    jobs: usize,
-    tuning: ShardTuning,
-    metrics: Option<&Metrics>,
-    make_sink: F,
-) -> Result<Vec<S>, ShardError>
-where
-    S: TraceSink + Send,
-    F: Fn(u32) -> S + Sync,
-{
-    let jobs = jobs.clamp(1, u32::MAX as usize);
-    let spec = ShardSpec::for_batches(batches, jobs as u32);
-    run_sharded_batched_spec(batches, spec, tuning, metrics, make_sink)
-}
-
-/// [`run_sharded_batched_with`] with an explicit, caller-chosen partition
-/// (callers that display or log the partition compute it once via
-/// [`ShardSpec::for_batches`] and pass it here, keeping the two in sync).
-///
-/// # Errors
-///
-/// [`ShardError`] if any worker panicked (see [`run_sharded_batched`]).
-pub fn run_sharded_batched_spec<S, F>(
     batches: &[EventBatch],
     spec: ShardSpec,
     tuning: ShardTuning,
@@ -687,34 +478,9 @@ where
     })
 }
 
-/// Memory events per shard under the partition [`ShardSpec::for_events`]
-/// would choose for a `jobs`-way split (control events are broadcast and
-/// not counted). Used by benches and `replay --jobs` to show how balanced
-/// the address partition is.
-pub fn shard_event_counts(events: &[Event], jobs: usize) -> Vec<u64> {
-    let jobs = jobs.clamp(1, u32::MAX as usize);
-    shard_event_counts_spec(events, ShardSpec::for_events(events, jobs as u32))
-}
-
-/// [`shard_event_counts`] under an explicit partition.
-pub fn shard_event_counts_spec(events: &[Event], spec: ShardSpec) -> Vec<u64> {
-    let mut counts = vec![0u64; spec.jobs() as usize];
-    for ev in events {
-        if let Event::Read { addr, .. } | Event::Write { addr, .. } = *ev {
-            counts[spec.shard_of(addr) as usize] += 1;
-        }
-    }
-    counts
-}
-
-/// [`shard_event_counts`] over a batch stream: one pass over the tag and
-/// address columns, no row reconstruction.
-pub fn shard_batch_counts(batches: &[EventBatch], jobs: usize) -> Vec<u64> {
-    let jobs = jobs.clamp(1, u32::MAX as usize);
-    shard_batch_counts_spec(batches, ShardSpec::for_batches(batches, jobs as u32))
-}
-
-/// [`shard_batch_counts`] under an explicit partition.
+/// Memory events per shard under `spec` (control events are broadcast and
+/// not counted): one pass over the tag and address columns. `replay --jobs`
+/// prints it to show how balanced the address partition is.
 pub fn shard_batch_counts_spec(batches: &[EventBatch], spec: ShardSpec) -> Vec<u64> {
     let mut counts = vec![0u64; spec.jobs() as usize];
     for batch in batches {
@@ -760,57 +526,6 @@ pub fn merge_shard_profiles(shards: Vec<DepProfile>) -> DepProfile {
     base
 }
 
-/// Parallel variant of [`profile_events`]: replays a
-/// recorded event stream through `jobs` address shards on scoped worker
-/// threads and merges the per-shard profiles.
-///
-/// Produces a [`DepProfile`] **equal** to the sequential replay (and hence
-/// to live instrumentation of the run that recorded `events`), plus the
-/// pool statistics and maximum depth — which are control-derived and
-/// identical in every shard. `jobs <= 1` falls back to the sequential path.
-///
-/// # Errors
-///
-/// [`ShardError`] if any shard worker panicked (see [`run_sharded`]).
-///
-/// # Examples
-///
-/// ```
-/// use alchemist_core::{profile_events, profile_events_par, ProfileConfig};
-/// use alchemist_vm::{compile_source, run, ExecConfig, RecordingSink};
-///
-/// let src = "int g; int main() { int i; for (i = 0; i < 9; i++) g += i; return g; }";
-/// let module = compile_source(src).unwrap();
-/// let mut rec = RecordingSink::default();
-/// let out = run(&module, &ExecConfig::default(), &mut rec).unwrap();
-///
-/// let (seq, _, _) = profile_events(
-///     &module, rec.events.iter().copied(), out.steps, ProfileConfig::default());
-/// let (par, _, _) = profile_events_par(
-///     &module, &rec.events, out.steps, ProfileConfig::default(), 4).unwrap();
-/// assert_eq!(par, seq);
-/// ```
-pub fn profile_events_par(
-    module: &Module,
-    events: &[Event],
-    total_steps: u64,
-    config: ProfileConfig,
-    jobs: usize,
-) -> Result<(DepProfile, PoolStats, usize), ShardError> {
-    if jobs <= 1 {
-        return Ok(profile_events(
-            module,
-            events.iter().copied(),
-            total_steps,
-            config,
-        ));
-    }
-    let profilers = run_sharded(events, jobs, |_| {
-        AlchemistProfiler::new(module, config.clone())
-    })?;
-    Ok(finish_shard_profilers(profilers, total_steps, None))
-}
-
 /// Extracts per-shard profiles from finished profilers and merges them.
 /// When `metrics` is `Some`, each shard's shadow-layout telemetry (pages
 /// faulted, read-set spills) is recorded per shard and the merge runs under
@@ -852,24 +567,26 @@ fn finish_shard_profilers(
     (merge_shard_profiles(profiles), pool_stats, max_depth)
 }
 
-/// Batched twin of [`profile_events_par`]: profiles a stream of
-/// [`EventBatch`]es through `jobs` address shards via
-/// [`run_sharded_batched`] (single-pass partitioning, bulk dispatch) and
-/// merges the per-shard profiles.
+/// Profiles a batch stream through the address shards of `spec` (via
+/// [`run_sharded_batched`]) and merges the per-shard profiles.
 ///
-/// Produces a [`DepProfile`] **equal** to the sequential batched replay,
-/// the per-event replay and live instrumentation of the recorded run.
-/// `jobs <= 1` falls back to the sequential batched path.
+/// The [`DepProfile`] is **equal** to sequential and live profiling of the
+/// recorded run; the pool statistics and maximum depth are control-derived
+/// and identical in every shard. A one-job spec runs the sequential
+/// [`profile_batches`]. With `metrics`, the fan-out records per-shard
+/// telemetry, the merge runs under a `merge` span, and the `profile.events`
+/// / `profile.deps` counters are bumped.
 ///
 /// # Errors
 ///
-/// [`ShardError`] if any shard worker panicked (see
-/// [`run_sharded_batched`]).
+/// [`ShardError`] if any shard worker panicked.
 ///
 /// # Examples
 ///
 /// ```
-/// use alchemist_core::{profile_batches_par, profile_events, ProfileConfig};
+/// use alchemist_core::{
+///     profile_batches_par_spec, profile_events, ProfileConfig, ShardSpec, ShardTuning,
+/// };
 /// use alchemist_vm::{compile_source, run, EventBatch, ExecConfig, RecordingSink};
 ///
 /// let src = "int g; int main() { int i; for (i = 0; i < 9; i++) g += i; return g; }";
@@ -880,61 +597,12 @@ fn finish_shard_profilers(
 /// let (seq, _, _) = profile_events(
 ///     &module, rec.events.iter().copied(), out.steps, ProfileConfig::default());
 /// let batches: Vec<EventBatch> = rec.events.chunks(16).map(EventBatch::from_events).collect();
-/// let (par, _, _) = profile_batches_par(
-///     &module, &batches, out.steps, ProfileConfig::default(), 4).unwrap();
+/// let spec = ShardSpec::for_batches(&batches, 4);
+/// let (par, _, _) = profile_batches_par_spec(
+///     &module, &batches, out.steps, ProfileConfig::default(), spec,
+///     ShardTuning::default(), None).unwrap();
 /// assert_eq!(par, seq);
 /// ```
-pub fn profile_batches_par(
-    module: &Module,
-    batches: &[EventBatch],
-    total_steps: u64,
-    config: ProfileConfig,
-    jobs: usize,
-) -> Result<(DepProfile, PoolStats, usize), ShardError> {
-    profile_batches_par_with(module, batches, total_steps, config, jobs, None)
-}
-
-/// [`profile_batches_par`] with self-instrumentation: when `metrics` is
-/// `Some`, the sharded fan-out records per-shard channel waits, busy time,
-/// delivered row counts and shadow telemetry (via
-/// [`run_sharded_batched_with`]), the merge runs under a `merge` stage
-/// span, and the `profile.events` / `profile.deps` counters are bumped
-/// with the stream's event count and the merged dependence-detection
-/// total. The produced profile is **equal** to the uninstrumented one.
-///
-/// # Errors
-///
-/// [`ShardError`] if any shard worker panicked (see
-/// [`run_sharded_batched`]).
-pub fn profile_batches_par_with(
-    module: &Module,
-    batches: &[EventBatch],
-    total_steps: u64,
-    config: ProfileConfig,
-    jobs: usize,
-    metrics: Option<&Metrics>,
-) -> Result<(DepProfile, PoolStats, usize), ShardError> {
-    let jobs = jobs.clamp(1, u32::MAX as usize);
-    let spec = ShardSpec::for_batches(batches, jobs as u32);
-    profile_batches_par_spec(
-        module,
-        batches,
-        total_steps,
-        config,
-        spec,
-        ShardTuning::default(),
-        metrics,
-    )
-}
-
-/// [`profile_batches_par_with`] with an explicit partition and hand-off
-/// tuning — the CLI computes the [`ShardSpec`] once (to display it) and
-/// passes its `--shard-depth` / `--shard-flush` values through here.
-///
-/// # Errors
-///
-/// [`ShardError`] if any shard worker panicked (see
-/// [`run_sharded_batched`]).
 pub fn profile_batches_par_spec(
     module: &Module,
     batches: &[EventBatch],
@@ -947,7 +615,7 @@ pub fn profile_batches_par_spec(
     let result = if spec.jobs() <= 1 {
         profile_batches(module, batches, total_steps, config)
     } else {
-        let profilers = run_sharded_batched_spec(batches, spec, tuning, metrics, |_| {
+        let profilers = run_sharded_batched(batches, spec, tuning, metrics, |_| {
             AlchemistProfiler::new(module, config.clone())
         })?;
         finish_shard_profilers(profilers, total_steps, metrics)
@@ -968,7 +636,10 @@ pub fn profile_batches_par_spec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alchemist_vm::{compile_source, run, CountingSink, ExecConfig, RecordingSink};
+    use crate::runner::profile_events;
+    use alchemist_vm::{
+        compile_source, run, BlockId, CountingSink, Event, ExecConfig, RecordingSink, Tid, Time,
+    };
 
     const CHURN: &str = "int a[16]; int sum;
         void mix(int k) {
@@ -997,22 +668,51 @@ mod tests {
             .collect()
     }
 
+    /// Batches the recorded stream into blocks of `size` events.
+    fn to_batches(events: &[Event], size: usize) -> Vec<EventBatch> {
+        events.chunks(size).map(EventBatch::from_events).collect()
+    }
+
+    /// The sharded profile under the chooser's spec and default tuning.
+    fn profile_par(
+        module: &Module,
+        batches: &[EventBatch],
+        steps: u64,
+        config: ProfileConfig,
+        jobs: u32,
+        metrics: Option<&Metrics>,
+    ) -> (DepProfile, PoolStats, usize) {
+        let spec = ShardSpec::for_batches(batches, jobs);
+        profile_batches_par_spec(
+            module,
+            batches,
+            steps,
+            config,
+            spec,
+            ShardTuning::default(),
+            metrics,
+        )
+        .unwrap()
+    }
+
     #[test]
-    fn shard_filter_partitions_memory_and_broadcasts_control() {
+    fn partition_splits_memory_and_broadcasts_control() {
         let (_m, events, _) = record(CHURN);
         let jobs = 3;
         let mut totals = CountingSink::default();
         for ev in &events {
             ev.dispatch(&mut totals);
         }
+        let batches = to_batches(&events, 17);
         for spec in specs(jobs) {
-            let mut mem_seen = 0;
-            for k in 0..jobs {
-                let mut f = ShardFilter::new(k, spec, CountingSink::default());
-                for ev in &events {
-                    ev.dispatch(&mut f);
+            let mut shards = vec![CountingSink::default(); jobs as usize];
+            for batch in &batches {
+                for (sink, sub) in shards.iter_mut().zip(partition_batch(batch, spec)) {
+                    sink.on_batch(&sub);
                 }
-                let c = f.into_inner();
+            }
+            let mut mem_seen = 0;
+            for c in &shards {
                 assert_eq!(c.enters, totals.enters, "control broadcast");
                 assert_eq!(c.predicates, totals.predicates, "control broadcast");
                 mem_seen += c.reads + c.writes;
@@ -1033,9 +733,10 @@ mod tests {
         for ev in &events {
             ev.dispatch(&mut totals);
         }
-        for jobs in [1usize, 2, 5] {
-            let counts = shard_event_counts(&events, jobs);
-            assert_eq!(counts.len(), jobs);
+        let batches = to_batches(&events, 9);
+        for jobs in [1u32, 2, 5] {
+            let counts = shard_batch_counts_spec(&batches, ShardSpec::for_batches(&batches, jobs));
+            assert_eq!(counts.len(), jobs as usize);
             assert_eq!(counts.iter().sum::<u64>(), totals.reads + totals.writes);
         }
     }
@@ -1101,44 +802,10 @@ mod tests {
 
     #[test]
     fn single_job_spec_is_page_granular_and_trivial() {
-        let spec = ShardSpec::for_events(&[], 1);
+        let spec = ShardSpec::for_batches(&[], 1);
         assert_eq!(spec.jobs(), 1);
         assert_eq!(spec.shift(), PAGE_SHIFT);
         assert_eq!(spec.shard_of(0xFFFF_FFFF), 0);
-    }
-
-    #[test]
-    fn parallel_profile_equals_sequential_for_any_job_count() {
-        let (module, events, steps) = record(CHURN);
-        let (seq, seq_pool, seq_depth) = profile_events(
-            &module,
-            events.iter().copied(),
-            steps,
-            ProfileConfig::default(),
-        );
-        for jobs in [1usize, 2, 3, 4, 7, 16] {
-            let (par, pool, depth) =
-                profile_events_par(&module, &events, steps, ProfileConfig::default(), jobs)
-                    .unwrap();
-            assert_eq!(par, seq, "jobs={jobs}");
-            assert_eq!(pool, seq_pool, "jobs={jobs}");
-            assert_eq!(depth, seq_depth, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn parallel_profile_matches_under_tiny_reader_cap() {
-        // Cap evictions are per-address state; sharding must not change
-        // which reads are dropped or how many.
-        let (module, events, steps) = record(CHURN);
-        let cfg = ProfileConfig {
-            reader_cap: 1,
-            ..Default::default()
-        };
-        let (seq, _, _) = profile_events(&module, events.iter().copied(), steps, cfg.clone());
-        let (par, _, _) = profile_events_par(&module, &events, steps, cfg, 4).unwrap();
-        assert_eq!(par.dropped_readers, seq.dropped_readers);
-        assert_eq!(par, seq);
     }
 
     #[test]
@@ -1150,24 +817,9 @@ mod tests {
             steps,
             ProfileConfig::default(),
         );
-        let (par, _, _) =
-            profile_events_par(&module, &events, steps, ProfileConfig::default(), 64).unwrap();
+        let batches = to_batches(&events, 16);
+        let (par, _, _) = profile_par(&module, &batches, steps, ProfileConfig::default(), 64, None);
         assert_eq!(par, seq);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn shard_filter_rejects_out_of_range_shard() {
-        let _ = ShardFilter::new(
-            4,
-            ShardSpec::with_shift(4, PAGE_SHIFT),
-            CountingSink::default(),
-        );
-    }
-
-    /// Batches the recorded stream into blocks of `size` events.
-    fn to_batches(events: &[Event], size: usize) -> Vec<EventBatch> {
-        events.chunks(size).map(EventBatch::from_events).collect()
     }
 
     #[test]
@@ -1179,13 +831,19 @@ mod tests {
                 let subs = partition_batch(&batch, spec);
                 assert_eq!(subs.len(), jobs as usize);
                 for (k, sub) in subs.iter().enumerate() {
-                    // The filter's per-event sub-stream is the ground truth.
-                    let mut f =
-                        ShardFilter::new(k as u32, spec, alchemist_vm::RecordingSink::default());
-                    for ev in &events {
-                        ev.dispatch(&mut f);
-                    }
-                    let expect = f.into_inner().events;
+                    // Ground truth: the per-event ownership predicate over
+                    // the recorded stream — every control event, plus the
+                    // memory events whose address shard `k` owns.
+                    let expect: Vec<Event> = events
+                        .iter()
+                        .copied()
+                        .filter(|ev| match *ev {
+                            Event::Read { addr, .. } | Event::Write { addr, .. } => {
+                                spec.shard_of(addr) == k as u32
+                            }
+                            _ => true,
+                        })
+                        .collect();
                     let got: Vec<Event> = sub.iter().collect();
                     assert_eq!(got, expect, "jobs={jobs} shift={} shard={k}", spec.shift());
                 }
@@ -1194,50 +852,31 @@ mod tests {
     }
 
     #[test]
-    fn shard_filter_on_batch_equals_per_event_filtering() {
-        let (_m, events, _) = record(CHURN);
-        for jobs in [2u32, 3] {
-            for spec in specs(jobs) {
-                for k in 0..jobs {
-                    let mut per_event =
-                        ShardFilter::new(k, spec, alchemist_vm::RecordingSink::default());
-                    for ev in &events {
-                        ev.dispatch(&mut per_event);
-                    }
-                    let mut batched =
-                        ShardFilter::new(k, spec, alchemist_vm::RecordingSink::default());
-                    for batch in to_batches(&events, 17) {
-                        batched.on_batch(&batch);
-                    }
-                    assert_eq!(
-                        batched.into_inner().events,
-                        per_event.into_inner().events,
-                        "jobs={jobs} shift={} shard={k}",
-                        spec.shift()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn batched_profile_equals_sequential_for_any_job_count() {
         let (module, events, steps) = record(CHURN);
-        let (seq, seq_pool, seq_depth) = profile_events(
-            &module,
-            events.iter().copied(),
-            steps,
-            ProfileConfig::default(),
-        );
-        for batch_size in [16usize, 4096] {
-            let batches = to_batches(&events, batch_size);
-            for jobs in [1usize, 2, 3, 7] {
-                let (par, pool, depth) =
-                    profile_batches_par(&module, &batches, steps, ProfileConfig::default(), jobs)
-                        .unwrap();
-                assert_eq!(par, seq, "batch_size={batch_size} jobs={jobs}");
-                assert_eq!(pool, seq_pool, "batch_size={batch_size} jobs={jobs}");
-                assert_eq!(depth, seq_depth, "batch_size={batch_size} jobs={jobs}");
+        // A reader cap of 1 forces evictions, which are per-address state:
+        // sharding must not change which reads are dropped or how many.
+        let tiny_cap = ProfileConfig {
+            reader_cap: 1,
+            ..Default::default()
+        };
+        for config in [ProfileConfig::default(), tiny_cap] {
+            let (seq, seq_pool, seq_depth) =
+                profile_events(&module, events.iter().copied(), steps, config.clone());
+            for batch_size in [16usize, 4096] {
+                let batches = to_batches(&events, batch_size);
+                for jobs in [1u32, 2, 3, 4, 7, 16] {
+                    let (par, pool, depth) =
+                        profile_par(&module, &batches, steps, config.clone(), jobs, None);
+                    let case = format!(
+                        "reader_cap={} batch_size={batch_size} jobs={jobs}",
+                        config.reader_cap
+                    );
+                    assert_eq!(par.dropped_readers, seq.dropped_readers, "{case}");
+                    assert_eq!(par, seq, "{case}");
+                    assert_eq!(pool, seq_pool, "{case}");
+                    assert_eq!(depth, seq_depth, "{case}");
+                }
             }
         }
     }
@@ -1305,18 +944,23 @@ mod tests {
         let (module, events, steps) = record(CHURN);
         let batches = to_batches(&events, 16);
         let jobs = 3usize;
-        let (plain, _, _) =
-            profile_batches_par(&module, &batches, steps, ProfileConfig::default(), jobs).unwrap();
-        let m = Metrics::new();
-        let (instr, _, _) = profile_batches_par_with(
+        let (plain, _, _) = profile_par(
             &module,
             &batches,
             steps,
             ProfileConfig::default(),
-            jobs,
+            jobs as u32,
+            None,
+        );
+        let m = Metrics::new();
+        let (instr, _, _) = profile_par(
+            &module,
+            &batches,
+            steps,
+            ProfileConfig::default(),
+            jobs as u32,
             Some(&m),
-        )
-        .unwrap();
+        );
         assert_eq!(instr, plain);
 
         // Counters describe the stream and the merged profile.
@@ -1340,7 +984,8 @@ mod tests {
         // every shard carries its shadow telemetry.
         let shards = m.shards();
         assert_eq!(shards.len(), jobs);
-        let expect_counts = shard_batch_counts(&batches, jobs);
+        let expect_counts =
+            shard_batch_counts_spec(&batches, ShardSpec::for_batches(&batches, jobs as u32));
         for (k, sm) in shards.iter().enumerate() {
             assert_eq!(sm.shard, k);
             assert_eq!(sm.mem_events, expect_counts[k], "shard {k}");
@@ -1363,15 +1008,14 @@ mod tests {
         let batches = to_batches(&events, 64);
         let jobs = 2usize;
         let m = Metrics::new();
-        let _ = profile_batches_par_with(
+        let _ = profile_par(
             &module,
             &batches,
             steps,
             ProfileConfig::default(),
-            jobs,
+            jobs as u32,
             Some(&m),
-        )
-        .unwrap();
+        );
         let sent = m.get(Counter::ShardSubBatchesSent);
         let delivered: u64 = m.shards().iter().map(|s| s.events).sum();
         assert!(sent > 0);
@@ -1382,19 +1026,6 @@ mod tests {
             delivered / sent >= min_avg.max(64),
             "sent={sent} delivered={delivered}"
         );
-    }
-
-    #[test]
-    fn shard_batch_counts_agree_with_event_counts() {
-        let (_m, events, _) = record(CHURN);
-        let batches = to_batches(&events, 9);
-        for jobs in [1usize, 2, 5] {
-            assert_eq!(
-                shard_batch_counts(&batches, jobs),
-                shard_event_counts(&events, jobs),
-                "jobs={jobs}"
-            );
-        }
     }
 
     /// A sink that panics on the first control event when armed.
@@ -1412,9 +1043,14 @@ mod tests {
     }
 
     #[test]
-    fn panicking_worker_is_a_typed_error_on_the_event_path() {
+    fn panicking_worker_is_a_typed_error() {
         let (_m, events, _) = record(CHURN);
-        let err = run_sharded(&events, 3, |k| Bomb { armed: k == 1 }).unwrap_err();
+        let batches = to_batches(&events, 16);
+        let spec = ShardSpec::with_shift(3, PAGE_SHIFT);
+        let err = run_sharded_batched(&batches, spec, ShardTuning::default(), None, |k| Bomb {
+            armed: k == 1,
+        })
+        .unwrap_err();
         assert_eq!(err.shard, 1);
         assert!(err.payload.contains("shard bomb"), "{}", err.payload);
         let msg = err.to_string();
@@ -1433,9 +1069,8 @@ mod tests {
             flush_events: 1,
         };
         let spec = ShardSpec::with_shift(3, 0);
-        let err =
-            run_sharded_batched_spec(&batches, spec, tuning, None, |k| Bomb { armed: k == 0 })
-                .unwrap_err();
+        let err = run_sharded_batched(&batches, spec, tuning, None, |k| Bomb { armed: k == 0 })
+            .unwrap_err();
         assert_eq!(err.shard, 0);
         assert!(err.payload.contains("shard bomb"), "{}", err.payload);
     }
@@ -1443,10 +1078,12 @@ mod tests {
     #[test]
     fn healthy_fanout_still_returns_every_sink() {
         let (_m, events, _) = record(CHURN);
-        let sinks = run_sharded(&events, 4, |_| Bomb { armed: false }).unwrap();
-        assert_eq!(sinks.len(), 4);
         let batches = to_batches(&events, 16);
-        let sinks = run_sharded_batched(&batches, 4, |_| Bomb { armed: false }).unwrap();
+        let spec = ShardSpec::for_batches(&batches, 4);
+        let sinks = run_sharded_batched(&batches, spec, ShardTuning::default(), None, |_| Bomb {
+            armed: false,
+        })
+        .unwrap();
         assert_eq!(sinks.len(), 4);
     }
 
@@ -1460,7 +1097,10 @@ mod tests {
             }
         }
         let (_m, events, _) = record(CHURN);
-        let err = run_sharded(&events, 2, |_| IntBomb).unwrap_err();
+        let batches = to_batches(&events, 16);
+        let spec = ShardSpec::with_shift(2, PAGE_SHIFT);
+        let err = run_sharded_batched(&batches, spec, ShardTuning::default(), None, |_| IntBomb)
+            .unwrap_err();
         assert_eq!(err.payload, "<non-string panic payload>");
     }
 }

@@ -5,6 +5,7 @@
 //! parallelize those constructs. Use the WAW and WAR profiles as hints for
 //! where to insert variable privatization and thread synchronization."
 
+use crate::extract::ExtractConfig;
 use alchemist_core::{ConstructKind, DepKind, ProfileReport};
 use alchemist_vm::{Module, Pc};
 use std::collections::BTreeSet;
@@ -25,6 +26,18 @@ pub struct Candidate {
     /// Global variables involved in violating WAR/WAW edges — the
     /// privatization worklist.
     pub privatize: Vec<String>,
+}
+
+impl Candidate {
+    /// The extraction config that simulates this candidate: its head
+    /// marked, every name on its privatization worklist privatized.
+    pub fn extract_config(&self) -> ExtractConfig {
+        self.privatize
+            .iter()
+            .fold(ExtractConfig::default().mark(self.head), |cfg, v| {
+                cfg.privatize(v)
+            })
+    }
 }
 
 /// Ranks parallelization candidates from a profile report.
@@ -134,6 +147,10 @@ mod tests {
             "counter must appear in the privatization worklist: {:?}",
             work.privatize
         );
+        let cfg = work.extract_config();
+        assert_eq!(cfg.marked, [work.head].into_iter().collect());
+        assert_eq!(cfg.privatized, work.privatize.iter().cloned().collect());
+        assert!(!cfg.respect_war_waw);
     }
 
     #[test]

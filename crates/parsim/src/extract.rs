@@ -26,7 +26,7 @@
 
 use crate::task::{TaskId, TaskInstance, TaskTrace};
 use alchemist_core::shadow::{Access, ShadowMemory};
-use alchemist_core::shard::{run_sharded, run_sharded_batched, ShardError};
+use alchemist_core::shard::{run_sharded_batched, ShardError, ShardSpec, ShardTuning};
 use alchemist_core::{ConstructId, ConstructKind};
 use alchemist_lang::hir::FuncId;
 use alchemist_obs::{span_opt, Counter, Metrics, Stage};
@@ -379,48 +379,17 @@ where
     extractor.into_trace(total_steps)
 }
 
-/// Address-sharded parallel variant of [`extract_tasks_from_events`].
+/// Address-sharded parallel variant of [`extract_tasks_from_events`] over a
+/// batch stream: one [`TaskExtractor`] per shard of `spec` (via
+/// [`run_sharded_batched`]) sees every control event — task open/close is
+/// control-derived — but only its own addresses' memory events. The merge
+/// keeps shard 0's tasks and unions the constraints, so the result is
+/// **equal** to the sequential extraction. A one-job spec runs one
+/// extractor inline.
 ///
-/// Same scheme as [`alchemist_core::profile_events_par`]: every worker runs
-/// a full [`TaskExtractor`] behind a [`ShardFilter`](alchemist_core::ShardFilter)
-/// (via [`run_sharded`]), so it sees all control events (task open/close is
-/// control-derived and identical in every shard) but only the memory
-/// events of its address shard. The merge
-/// keeps shard 0's task list, unions the schedule constraints — each
-/// dynamic dependence is detected by exactly one shard — and re-applies
-/// the sequential path's sort/dedup, so the result is **equal** to
-/// [`extract_tasks_from_events`] on the same stream.
-///
-/// # Errors
-///
-/// [`ShardError`] if any shard worker panicked; surviving shards are
-/// drained and joined before the error is returned.
-pub fn extract_tasks_from_events_par(
-    module: &Module,
-    config: ExtractConfig,
-    events: &[Event],
-    total_steps: u64,
-    jobs: usize,
-) -> Result<TaskTrace, ShardError> {
-    if jobs <= 1 {
-        return Ok(extract_tasks_from_events(
-            module,
-            config,
-            events.iter().copied(),
-            total_steps,
-        ));
-    }
-    let extractors = run_sharded(events, jobs, |_| TaskExtractor::new(module, config.clone()))?;
-    Ok(merge_shard_traces(extractors, total_steps))
-}
-
-/// Batched twin of [`extract_tasks_from_events_par`]: extracts a task
-/// trace from a stream of [`EventBatch`]es through `jobs` address shards
-/// via [`run_sharded_batched`] (single-pass partitioning, bulk dispatch).
-///
-/// The result is **equal** to [`extract_tasks_from_events`] over the
-/// concatenated batch rows. `jobs <= 1` runs one extractor sequentially,
-/// one `on_batch` call per batch.
+/// With `metrics`, the extraction runs under an `extract` span and bumps
+/// `parsim.tasks_extracted`; the fan-out itself records no shard rows,
+/// which stay reserved for the profiling shards.
 ///
 /// # Errors
 ///
@@ -430,38 +399,18 @@ pub fn extract_tasks_from_batches_par(
     config: ExtractConfig,
     batches: &[EventBatch],
     total_steps: u64,
-    jobs: usize,
-) -> Result<TaskTrace, ShardError> {
-    extract_tasks_from_batches_par_with(module, config, batches, total_steps, jobs, None)
-}
-
-/// [`extract_tasks_from_batches_par`] with self-instrumentation: when
-/// `metrics` is `Some`, the whole extraction runs under an `extract` stage
-/// span and the `parsim.tasks_extracted` counter is bumped with the trace's
-/// task count. The internal shard fan-out is *not* instrumented — per-shard
-/// metrics rows stay reserved for the dependence-profiling shards, so a
-/// combined `replay` invocation reports one coherent shard table.
-///
-/// # Errors
-///
-/// [`ShardError`] if any shard worker panicked.
-pub fn extract_tasks_from_batches_par_with(
-    module: &Module,
-    config: ExtractConfig,
-    batches: &[EventBatch],
-    total_steps: u64,
-    jobs: usize,
+    spec: ShardSpec,
     metrics: Option<&Metrics>,
 ) -> Result<TaskTrace, ShardError> {
     let _extract_span = span_opt(metrics, Stage::Extract);
-    let trace = if jobs <= 1 {
+    let trace = if spec.jobs() <= 1 {
         let mut extractor = TaskExtractor::new(module, config);
         for batch in batches {
             extractor.on_batch(batch);
         }
         extractor.into_trace(total_steps)
     } else {
-        let extractors = run_sharded_batched(batches, jobs, |_| {
+        let extractors = run_sharded_batched(batches, spec, ShardTuning::default(), None, |_| {
             TaskExtractor::new(module, config.clone())
         })?;
         merge_shard_traces(extractors, total_steps)
@@ -481,8 +430,8 @@ fn merge_shard_traces(extractors: Vec<TaskExtractor<'_>>, total_steps: u64) -> T
         .map(|e| e.into_trace(total_steps))
         .collect::<Vec<_>>()
         .into_iter();
-    // Invariant: only reached from the `jobs > 1` fan-out paths, which
-    // spawn (and here return) at least two extractors.
+    // Invariant: only reached from the `jobs > 1` fan-out, which spawns
+    // (and here returns) at least two extractors.
     let mut base = iter.next().expect("at least one shard");
     let mut edge_set: HashSet<(TaskId, TaskId)> = base.task_edges.iter().copied().collect();
     for shard in iter {
@@ -677,6 +626,7 @@ int main() {
         let head = m.func_by_name("work").unwrap().1.entry;
         let mut rec = alchemist_vm::RecordingSink::default();
         let out = alchemist_vm::run(&m, &ExecConfig::default(), &mut rec).unwrap();
+        let batches: Vec<EventBatch> = rec.events.chunks(23).map(EventBatch::from_events).collect();
         for respect in [false, true] {
             let cfg = ExtractConfig {
                 respect_war_waw: respect,
@@ -685,37 +635,19 @@ int main() {
             let seq =
                 extract_tasks_from_events(&m, cfg.clone(), rec.events.iter().copied(), out.steps);
             assert!(!seq.task_edges.is_empty(), "counter chain constrains");
-            for jobs in [1usize, 2, 3, 4, 8] {
-                let par =
-                    extract_tasks_from_events_par(&m, cfg.clone(), &rec.events, out.steps, jobs)
-                        .unwrap();
+            for jobs in [1u32, 2, 3, 4, 8] {
+                let spec = ShardSpec::for_batches(&batches, jobs);
+                let par = extract_tasks_from_batches_par(
+                    &m,
+                    cfg.clone(),
+                    &batches,
+                    out.steps,
+                    spec,
+                    None,
+                )
+                .unwrap();
                 assert_eq!(par, seq, "jobs={jobs} respect_war_waw={respect}");
             }
-        }
-    }
-
-    #[test]
-    fn batched_extraction_equals_sequential() {
-        let src = "\
-int counter;
-int out[8];
-void work(int i) { counter++; out[i] = i + counter; }
-int main() {
-    int i;
-    for (i = 0; i < 8; i++) work(i);
-    return out[7];
-}";
-        let m = compile_source(src).unwrap();
-        let head = m.func_by_name("work").unwrap().1.entry;
-        let mut rec = alchemist_vm::RecordingSink::default();
-        let out = alchemist_vm::run(&m, &ExecConfig::default(), &mut rec).unwrap();
-        let cfg = ExtractConfig::default().mark(head);
-        let seq = extract_tasks_from_events(&m, cfg.clone(), rec.events.iter().copied(), out.steps);
-        let batches: Vec<EventBatch> = rec.events.chunks(23).map(EventBatch::from_events).collect();
-        for jobs in [1usize, 2, 4, 8] {
-            let par =
-                extract_tasks_from_batches_par(&m, cfg.clone(), &batches, out.steps, jobs).unwrap();
-            assert_eq!(par, seq, "jobs={jobs}");
         }
     }
 

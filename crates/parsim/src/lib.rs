@@ -53,8 +53,7 @@ pub mod task;
 
 pub use advisor::{suggest_candidates, Candidate};
 pub use extract::{
-    construct_at_line, extract_tasks, extract_tasks_from_batches_par,
-    extract_tasks_from_batches_par_with, extract_tasks_from_events, extract_tasks_from_events_par,
+    construct_at_line, extract_tasks, extract_tasks_from_batches_par, extract_tasks_from_events,
     ExtractConfig, TaskExtractor,
 };
 pub use render::{render_timeline, schedule, ScheduledTask};

@@ -18,7 +18,8 @@
 //! by time without decoding what it does not need, and delta/varint
 //! encoded, averaging a few bytes per event. Chunks decode independently
 //! of each other, so a trace can also be decoded chunk-parallel across
-//! worker threads ([`decode_events_par`]). Traces can embed the mini-C
+//! worker threads into [`EventBatch`](alchemist_vm::EventBatch)es
+//! ([`decode_batches_par_with`]). Traces can embed the mini-C
 //! source of the recorded program, making the artifact self-contained.
 //!
 //! ## Record, then replay
@@ -82,10 +83,7 @@ pub mod writer;
 pub use alcp::{AlcpError, ProfileArtifact, ALCP_MAGIC, ALCP_VERSION};
 pub use atomic::{write_atomic, AtomicFile};
 pub use error::TraceError;
-pub use par::{
-    decode_batches_par, decode_batches_par_recover, decode_batches_par_with, decode_chunk,
-    decode_chunk_into, decode_events_par,
-};
+pub use par::{decode_batches_par_recover, decode_batches_par_with};
 pub use reader::{ChunkInfo, RawChunk, RecoveryReport, ReplaySummary, TraceReader};
 pub use tee::{MultiSink, Tee};
 pub use writer::{TraceStats, TraceWriter, DEFAULT_CHECKPOINT_CHUNKS, DEFAULT_CHUNK_EVENTS};

@@ -3,50 +3,28 @@
 //! `.alct` chunks are self-contained — each carries its own event count and
 //! reseeds the delta codec at its `t_first` — so after the cheap sequential
 //! scan that slices the stream into [`RawChunk`]s, every payload decodes
-//! independently. [`decode_events_par`] fans the chunks out to scoped
+//! independently. [`decode_batches_par_with`] fans the chunks out to scoped
 //! worker threads (work-stealing over an atomic cursor, so a few oversized
-//! chunks cannot serialize the pool) and reassembles the event vector in
-//! trace order.
+//! chunks cannot serialize the pool), decodes each one straight into an
+//! [`EventBatch`] through the crate's one row decoder
+//! ([`format::decode_chunk_into`]) and returns the batches in trace order.
 //!
 //! Error semantics match the sequential reader: the error reported is the
 //! one the sequential decoder would have hit first — a payload error in an
 //! earlier chunk wins over a structural error further on — and no events
-//! are returned.
+//! are returned. [`decode_batches_par_recover`] is the salvage variant: it
+//! skips damaged chunks instead of failing.
 
 use crate::error::TraceError;
 use crate::format;
 use crate::reader::{RawChunk, RecoveryReport, ReplaySummary, TraceReader};
 use alchemist_obs::{span_opt, Counter, Hist, Metrics, Stage};
-use alchemist_vm::{Event, EventBatch};
+use alchemist_vm::EventBatch;
 use std::io::Read;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Decodes one raw chunk into its events.
-///
-/// # Errors
-///
-/// Any payload-level [`TraceError`] ([`TraceError::Truncated`] mid-event,
-/// [`TraceError::BadEventTag`], delta overflow, trailing bytes).
-pub fn decode_chunk(chunk: &RawChunk) -> Result<Vec<Event>, TraceError> {
-    let mut batch = EventBatch::new();
-    decode_chunk_into(chunk, &mut batch)?;
-    Ok(batch.iter().collect())
-}
-
-/// Decodes one raw chunk straight into `batch`, replacing its rows, through
-/// the crate's one row decoder ([`format::decode_chunk_into`]): columns are
-/// sized once and written by index, and no [`Event`] is built.
-///
-/// # Errors
-///
-/// Same payload-level errors as [`decode_chunk`]. Decoding is
-/// chunk-atomic: on error `batch` is left empty.
-pub fn decode_chunk_into(chunk: &RawChunk, batch: &mut EventBatch) -> Result<(), TraceError> {
-    format::decode_chunk_into(chunk.head(), &chunk.payload, batch)
-}
-
-/// [`decode_chunk_into`] into a fresh batch, recording the chunk's decode
+/// Decodes one raw chunk into a fresh batch, recording the chunk's decode
 /// time and size into `metrics` when it decoded.
 fn decode_chunk_timed(
     chunk: &RawChunk,
@@ -54,7 +32,7 @@ fn decode_chunk_timed(
 ) -> Result<EventBatch, TraceError> {
     let t0 = metrics.map(|_| Instant::now());
     let mut batch = EventBatch::new();
-    decode_chunk_into(chunk, &mut batch)?;
+    format::decode_chunk_into(chunk.head(), &chunk.payload, &mut batch)?;
     if let (Some(m), Some(t0)) = (metrics, t0) {
         m.observe_ns(Hist::DecodeChunkNs, t0.elapsed().as_nanos() as u64);
         m.incr(Counter::TraceChunksDecoded);
@@ -63,24 +41,21 @@ fn decode_chunk_timed(
     Ok(batch)
 }
 
-/// Runs `decode` over every chunk on `jobs` worker threads (work-stealing
-/// over an atomic cursor) and returns the per-chunk results in trace
-/// order. `jobs <= 1` decodes inline.
-fn decode_chunks_ordered<T, F>(
+/// Decodes every chunk ([`decode_chunk_timed`]) on `jobs` worker threads
+/// (work-stealing over an atomic cursor) and returns the per-chunk results
+/// in trace order. `jobs <= 1` decodes inline.
+fn decode_chunks_ordered(
     chunks: &[RawChunk],
     jobs: usize,
-    decode: F,
-) -> Vec<Result<T, TraceError>>
-where
-    T: Send,
-    F: Fn(&RawChunk) -> Result<T, TraceError> + Sync,
-{
+    metrics: Option<&Metrics>,
+) -> Vec<Result<EventBatch, TraceError>> {
+    let decode = |chunk: &RawChunk| decode_chunk_timed(chunk, metrics);
     if jobs <= 1 {
         return chunks.iter().map(decode).collect();
     }
     let cursor = AtomicUsize::new(0);
     let (cursor, decode) = (&cursor, &decode);
-    let mut slots: Vec<(usize, Result<T, TraceError>)> = std::thread::scope(|s| {
+    let mut slots: Vec<(usize, Result<EventBatch, TraceError>)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..jobs)
             .map(|_| {
                 s.spawn(move || {
@@ -104,22 +79,25 @@ where
     slots.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Decodes a whole trace into an event vector using `jobs` worker threads.
-///
-/// Equivalent to collecting the reader's event iterator — same events, same
-/// order, same `total_steps` — but the payload decoding runs chunk-parallel.
-/// `jobs <= 1` (or a single-chunk trace) decodes inline.
+/// Decodes a whole trace chunk-parallel on `jobs` worker threads into one
+/// [`EventBatch`] per chunk, whose rows concatenate to exactly the
+/// sequential reader's stream. `jobs <= 1` (or a single chunk) decodes
+/// inline. With `metrics`, the fan-out runs under a `decode` span and
+/// records per-chunk latency ([`Hist::DecodeChunkNs`]) and the
+/// chunk/byte/event counters; with `None` there is no clock read at all.
 ///
 /// # Errors
 ///
-/// Structural errors from the chunk scan, or the first (in trace order)
-/// payload decode error.
+/// Structural errors from the chunk scan, or a payload decode error: the
+/// one the sequential reader would report, which decodes each chunk before
+/// reading the next head, so an earlier payload error wins over a later
+/// scan failure.
 ///
 /// # Examples
 ///
 /// ```
-/// use alchemist_trace::{decode_events_par, TraceReader, TraceWriter};
-/// use alchemist_vm::{compile_source, run, ExecConfig, RecordingSink};
+/// use alchemist_trace::{decode_batches_par_with, TraceReader, TraceWriter};
+/// use alchemist_vm::{compile_source, run, Event, ExecConfig, RecordingSink};
 ///
 /// let src = "int g; int main() { int i; for (i = 0; i < 64; i++) g += i; return g; }";
 /// let module = compile_source(src)?;
@@ -131,88 +109,24 @@ where
 /// run(&module, &ExecConfig::default(), &mut live).unwrap();
 ///
 /// let reader = TraceReader::new(bytes.as_slice()).unwrap();
-/// let (events, summary) = decode_events_par(reader, 4).unwrap();
+/// let (batches, summary) = decode_batches_par_with(reader, 4, None).unwrap();
+/// let events: Vec<Event> = batches.iter().flat_map(|b| b.iter()).collect();
 /// assert_eq!(events, live.events);
 /// assert_eq!(summary.total_steps, out.steps);
 /// # Ok::<(), alchemist_lang::LangError>(())
 /// ```
-pub fn decode_events_par<R: Read>(
-    mut reader: TraceReader<R>,
-    jobs: usize,
-) -> Result<(Vec<Event>, ReplaySummary), TraceError> {
-    let (decoded, total_steps) = scan_and_decode(&mut reader, jobs, decode_chunk)?;
-    let events: Vec<Event> = decoded.concat();
-    let summary = ReplaySummary {
-        events: events.len() as u64,
-        total_steps,
-    };
-    Ok((events, summary))
-}
-
-/// Scans the whole trace, decodes every chunk the scan read on `jobs`
-/// workers, and returns the decoded chunks in trace order with the
-/// footer's step count.
-///
-/// The error is the one the sequential reader would report: that reader
-/// decodes each chunk before it reads the next chunk head, so a payload
-/// error in a chunk ahead of the scan's own failure point wins over it.
-fn scan_and_decode<R, T, F>(
-    reader: &mut TraceReader<R>,
-    jobs: usize,
-    decode: F,
-) -> Result<(Vec<T>, u64), TraceError>
-where
-    R: Read,
-    T: Send,
-    F: Fn(&RawChunk) -> Result<T, TraceError> + Sync,
-{
-    let (chunks, end) = reader.read_raw_chunks_partial();
-    let jobs = jobs.max(1).min(chunks.len().max(1));
-    let decoded = decode_chunks_ordered(&chunks, jobs, decode)
-        .into_iter()
-        .collect::<Result<Vec<T>, TraceError>>()?;
-    Ok((decoded, end?))
-}
-
-/// Decodes a whole trace chunk-parallel into one [`EventBatch`] per chunk.
-///
-/// This is the bulk-pipeline twin of [`decode_events_par`]: the same
-/// events in the same order, but kept in struct-of-arrays batches that
-/// downstream batch-aware consumers
-/// (`alchemist_core::profile_batches_par`, shard partitioning, fan-outs)
-/// process without ever materializing a `Vec<Event>`. Concatenating the
-/// batches' rows yields exactly the sequential reader's event stream.
-///
-/// # Errors
-///
-/// Structural errors from the chunk scan, or the first (in trace order)
-/// payload decode error — matching [`decode_events_par`].
-pub fn decode_batches_par<R: Read>(
-    reader: TraceReader<R>,
-    jobs: usize,
-) -> Result<(Vec<EventBatch>, ReplaySummary), TraceError> {
-    decode_batches_par_with(reader, jobs, None)
-}
-
-/// [`decode_batches_par`] with self-instrumentation: when `metrics` is
-/// `Some`, the whole fan-out runs under a `decode` stage span, every worker
-/// records its chunk's decode latency into [`Hist::DecodeChunkNs`] plus the
-/// chunk/byte counters, and the total decoded event count is folded in at
-/// the end. With `None` this *is* [`decode_batches_par`] — not even a clock
-/// read on any path.
-///
-/// # Errors
-///
-/// Same as [`decode_batches_par`].
 pub fn decode_batches_par_with<R: Read>(
     mut reader: TraceReader<R>,
     jobs: usize,
     metrics: Option<&Metrics>,
 ) -> Result<(Vec<EventBatch>, ReplaySummary), TraceError> {
     let _decode_span = span_opt(metrics, Stage::Decode);
-    let (batches, total_steps) = scan_and_decode(&mut reader, jobs, |chunk| {
-        decode_chunk_timed(chunk, metrics)
-    })?;
+    let (chunks, end) = reader.read_raw_chunks_partial();
+    let jobs = jobs.max(1).min(chunks.len().max(1));
+    let batches = decode_chunks_ordered(&chunks, jobs, metrics)
+        .into_iter()
+        .collect::<Result<Vec<EventBatch>, TraceError>>()?;
+    let total_steps = end?;
     let events = batches.iter().map(|b| b.len() as u64).sum();
     if let Some(m) = metrics {
         m.add(Counter::TraceEventsDecoded, events);
@@ -244,7 +158,7 @@ pub fn decode_batches_par_recover<R: Read>(
     let _decode_span = span_opt(metrics, Stage::Decode);
     let (chunks, total_steps, mut report) = reader.read_raw_chunks_recover();
     let jobs = jobs.max(1).min(chunks.len().max(1));
-    let decoded = decode_chunks_ordered(&chunks, jobs, |chunk| decode_chunk_timed(chunk, metrics));
+    let decoded = decode_chunks_ordered(&chunks, jobs, metrics);
     let mut batches = Vec::with_capacity(chunks.len());
     let mut events = 0u64;
     for (chunk, result) in chunks.iter().zip(decoded) {
@@ -278,7 +192,7 @@ mod tests {
     use super::*;
     use crate::writer::TraceWriter;
     use alchemist_lang::hir::FuncId;
-    use alchemist_vm::{Pc, RecordingSink, Tid, TraceSink};
+    use alchemist_vm::{Event, Pc, RecordingSink, Tid, TraceSink};
 
     fn sample_trace(chunk_capacity: usize, rounds: u32) -> (Vec<u8>, RecordingSink) {
         sample_trace_with(
@@ -317,15 +231,10 @@ mod tests {
         (bytes, live)
     }
 
-    #[test]
-    fn parallel_decode_equals_sequential_iteration() {
-        let (bytes, live) = sample_trace(7, 40);
-        for jobs in [1usize, 2, 4, 9] {
-            let reader = TraceReader::new(bytes.as_slice()).unwrap();
-            let (events, summary) = decode_events_par(reader, jobs).unwrap();
-            assert_eq!(events, live.events, "jobs={jobs}");
-            assert_eq!(summary.events, live.events.len() as u64);
-        }
+    /// Decodes `bytes` with `jobs` workers and flattens the batches.
+    fn decode_flat(bytes: &[u8], jobs: usize) -> Result<Vec<Event>, TraceError> {
+        let (batches, _) = decode_batches_par_with(TraceReader::new(bytes)?, jobs, None)?;
+        Ok(batches.iter().flat_map(|b| b.iter()).collect())
     }
 
     #[test]
@@ -333,7 +242,7 @@ mod tests {
         let (bytes, live) = sample_trace(7, 40);
         for jobs in [1usize, 2, 4, 9] {
             let reader = TraceReader::new(bytes.as_slice()).unwrap();
-            let (batches, summary) = decode_batches_par(reader, jobs).unwrap();
+            let (batches, summary) = decode_batches_par_with(reader, jobs, None).unwrap();
             let flat: Vec<Event> = batches.iter().flat_map(|b| b.iter()).collect();
             assert_eq!(flat, live.events, "jobs={jobs}");
             assert_eq!(summary.events, live.events.len() as u64);
@@ -374,46 +283,22 @@ mod tests {
     }
 
     #[test]
-    fn batch_decode_reports_corruption_like_event_decode() {
-        let (bytes, _) = sample_trace(7, 12);
-        for pos in (8..bytes.len()).step_by(13) {
-            let mut corrupt = bytes.clone();
-            corrupt[pos] ^= 0xff;
-            let ev = match TraceReader::new(corrupt.as_slice()) {
-                Ok(r) => decode_events_par(r, 4).map(|(e, _)| e),
-                Err(e) => Err(e),
-            };
-            let ba = match TraceReader::new(corrupt.as_slice()) {
-                Ok(r) => decode_batches_par(r, 4)
-                    .map(|(b, _)| b.iter().flat_map(|b| b.iter()).collect::<Vec<_>>()),
-                Err(e) => Err(e),
-            };
-            match (ev, ba) {
-                (Ok(e), Ok(b)) => assert_eq!(e, b, "flip at {pos}"),
-                (Err(_), Err(_)) => {}
-                (e, b) => panic!("flip at {pos}: decoders disagree: {e:?} vs {b:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn parallel_decode_of_empty_trace() {
         let (bytes, _) = TraceWriter::new(Vec::new(), None)
             .unwrap()
             .finish(5)
             .unwrap();
         let reader = TraceReader::new(bytes.as_slice()).unwrap();
-        let (events, summary) = decode_events_par(reader, 8).unwrap();
-        assert!(events.is_empty());
+        let (batches, summary) = decode_batches_par_with(reader, 8, None).unwrap();
+        assert!(batches.is_empty());
+        assert_eq!(summary.events, 0);
         assert_eq!(summary.total_steps, 5);
     }
 
     #[test]
     fn more_jobs_than_chunks_is_fine() {
         let (bytes, live) = sample_trace(1000, 5);
-        let reader = TraceReader::new(bytes.as_slice()).unwrap();
-        let (events, _) = decode_events_par(reader, 32).unwrap();
-        assert_eq!(events, live.events);
+        assert_eq!(decode_flat(&bytes, 32).unwrap(), live.events);
     }
 
     #[test]
@@ -429,13 +314,10 @@ mod tests {
                 Ok(r) => r.collect(),
                 Err(e) => Err(e),
             };
-            let par = match TraceReader::new(corrupt.as_slice()) {
-                Ok(r) => decode_events_par(r, 4),
-                Err(e) => Err(e),
-            };
+            let par = decode_flat(&corrupt, 4);
             match seq {
                 Ok(events) => {
-                    let (par_events, _) = par.unwrap_or_else(|e| {
+                    let par_events = par.unwrap_or_else(|e| {
                         panic!("flip at {pos}: sequential ok, parallel errored: {e}")
                     });
                     assert_eq!(par_events, events, "flip at {pos}");
@@ -453,13 +335,11 @@ mod tests {
             });
         assert!(live.events.iter().any(|e| e.tid() != Tid::MAIN));
         for jobs in [1usize, 2, 4] {
-            let reader = TraceReader::new(bytes.as_slice()).unwrap();
-            let (events, _) = decode_events_par(reader, jobs).unwrap();
-            assert_eq!(events, live.events, "jobs={jobs}");
-            let reader = TraceReader::new(bytes.as_slice()).unwrap();
-            let (batches, _) = decode_batches_par(reader, jobs).unwrap();
-            let flat: Vec<Event> = batches.iter().flat_map(|b| b.iter()).collect();
-            assert_eq!(flat, live.events, "jobs={jobs}");
+            assert_eq!(
+                decode_flat(&bytes, jobs).unwrap(),
+                live.events,
+                "jobs={jobs}"
+            );
         }
     }
 
@@ -574,11 +454,12 @@ mod tests {
             live.events.len() as u64
         );
         assert!(total_steps > 0);
-        let rejoined: Vec<Event> = chunks
-            .iter()
-            .map(|c| decode_chunk(c).unwrap())
-            .collect::<Vec<_>>()
-            .concat();
+        let mut batch = EventBatch::new();
+        let mut rejoined: Vec<Event> = Vec::new();
+        for c in &chunks {
+            format::decode_chunk_into(c.head(), &c.payload, &mut batch).unwrap();
+            rejoined.extend(batch.iter());
+        }
         assert_eq!(rejoined, live.events);
     }
 }

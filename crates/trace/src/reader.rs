@@ -32,7 +32,7 @@ pub struct ChunkInfo {
 }
 
 /// One event-bearing chunk with its payload still encoded: the unit of
-/// work for parallel decode ([`decode_events_par`](crate::decode_events_par)).
+/// work for parallel decode ([`decode_batches_par_with`](crate::decode_batches_par_with)).
 ///
 /// The delta codec resets at every chunk boundary
 /// ([`format::CodecState::new`] seeded with `t_first`), so a `RawChunk`

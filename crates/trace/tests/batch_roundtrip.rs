@@ -1,7 +1,7 @@
 //! Property tests for batched trace round-trips: for arbitrary event
 //! sequences, encoding through `TraceWriter::on_batch` must produce the
 //! byte-identical `.alct` stream the per-event path produces, and decoding
-//! through the batched readers (`read_batch`, `decode_batches_par`) must
+//! through the batched readers (`read_batch`, `decode_batches_par_with`) must
 //! reproduce the per-event round-trip exactly — including when batch and
 //! chunk boundaries disagree, so batches straddle chunk edges both ways.
 //!
@@ -10,7 +10,7 @@
 //! across chunk boundaries, at any batch granularity.
 
 use alchemist_lang::hir::FuncId;
-use alchemist_trace::{decode_batches_par, TraceReader, TraceWriter};
+use alchemist_trace::{decode_batches_par_with, TraceReader, TraceWriter};
 use alchemist_vm::{BlockId, Event, EventBatch, Pc, Tid, TraceSink};
 use proptest::prelude::*;
 
@@ -134,8 +134,12 @@ fn check_roundtrip(
     prop_assert_eq!(r.total_steps(), Some(total_steps));
 
     // Chunk-parallel batch decode.
-    let (batches, summary) =
-        decode_batches_par(TraceReader::new(per_event_bytes.as_slice()).unwrap(), 4).unwrap();
+    let (batches, summary) = decode_batches_par_with(
+        TraceReader::new(per_event_bytes.as_slice()).unwrap(),
+        4,
+        None,
+    )
+    .unwrap();
     let flat: Vec<Event> = batches.iter().flat_map(|b| b.iter()).collect();
     prop_assert_eq!(&flat, events);
     prop_assert_eq!(summary.events, events.len() as u64);

@@ -3,7 +3,7 @@
 //! unboundedly.
 
 use alchemist_trace::{
-    decode_batches_par, decode_batches_par_recover, format, varint, TraceError, TraceReader,
+    decode_batches_par_recover, decode_batches_par_with, format, varint, TraceError, TraceReader,
     TraceWriter,
 };
 use alchemist_vm::{compile_source, Event, EventBatch, ExecConfig, NullSink, Tid};
@@ -303,7 +303,7 @@ fn via_read_batch(bytes: &[u8], max: usize) -> Outcome {
 
 fn via_par(bytes: &[u8], jobs: usize) -> Outcome {
     let reader = TraceReader::new(bytes).map_err(variant)?;
-    let (batches, _) = decode_batches_par(reader, jobs).map_err(variant)?;
+    let (batches, _) = decode_batches_par_with(reader, jobs, None).map_err(variant)?;
     Ok(batches.iter().flat_map(EventBatch::iter).collect())
 }
 
@@ -316,7 +316,7 @@ fn readers_agree(bytes: &[u8]) -> Result<(), String> {
         .map(|max| (format!("read_batch(max {max})"), via_read_batch(bytes, max)))
         .chain([1, 2, 4].into_iter().map(|jobs| {
             (
-                format!("decode_batches_par(jobs {jobs})"),
+                format!("decode_batches_par_with(jobs {jobs})"),
                 via_par(bytes, jobs),
             )
         }));

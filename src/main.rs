@@ -11,19 +11,19 @@
 
 use alchemist_core::shadow::{Access, ShadowMemory};
 use alchemist_core::{
-    profile_batches_par_spec, profile_batches_par_with, profile_module, profile_source,
-    shard_batch_counts_spec, AlchemistProfiler, DepProfile, PartialProfile, ProfileConfig,
-    ProfileReport, ShardError, ShardSpec, ShardTuning,
+    profile_batches_par_spec, profile_module, profile_source, shard_batch_counts_spec,
+    AlchemistProfiler, DepProfile, PartialProfile, ProfileConfig, ProfileReport, ShardError,
+    ShardSpec, ShardTuning,
 };
 use alchemist_obs::{span_opt, Counter, Metrics, Stage};
 use alchemist_parsim::{
-    extract_tasks, extract_tasks_from_batches_par_with, render_timeline, simulate,
-    suggest_candidates, ExtractConfig, SimConfig,
+    extract_tasks, extract_tasks_from_batches_par, render_timeline, simulate, suggest_candidates,
+    ExtractConfig, SimConfig,
 };
 use alchemist_trace::{
     decode_batches_par_recover, decode_batches_par_with, write_atomic, AtomicFile, ChunkInfo,
-    MultiSink, ProfileArtifact, RecoveryReport, TraceError, TraceReader, TraceStats, TraceWriter,
-    ALCP_MAGIC, ALCP_VERSION,
+    MultiSink, ProfileArtifact, RecoveryReport, ReplaySummary, TraceError, TraceReader, TraceStats,
+    TraceWriter, ALCP_MAGIC, ALCP_VERSION,
 };
 use alchemist_vm::{
     run_with_metrics, CountingSink, EventBatch, ExecConfig, NullSink, Pc, Tid, Time, TraceSink,
@@ -77,9 +77,8 @@ const USAGE: &str = "usage:
                    [--metrics text|json] [--metrics-out FILE]
   alchemist replay <trace.alct|workload> [--analysis profile,advise,stats]
                    [--top N] [--threads K] [--jobs N] [--batch-size N]
-                   [--scale S] [--shard-flush N] [--shard-depth N]
-                   [--war-waw LABEL] [--profile-out FILE.alcp] [--recover]
-                   [--metrics text|json] [--metrics-out FILE]
+                   [--scale S] [--war-waw LABEL] [--profile-out FILE.alcp]
+                   [--recover] [--metrics text|json] [--metrics-out FILE]
   alchemist workloads [--json] [--scale S]
 
 where <workload> is a bundled workload name (see `alchemist workloads`)
@@ -699,11 +698,8 @@ fn save_from_source(
         let report = ProfileReport::new(&artifact.profile, &module);
         let candidates = suggest_candidates(&report, &module, 0.02, 0);
         if let Some(best) = candidates.first() {
-            let mut cfg = ExtractConfig::default().mark(best.head);
-            for v in &best.privatize {
-                cfg = cfg.privatize(v);
-            }
-            let tasks = extract_tasks(&module, &ExecConfig::with_input(inputs[0].clone()), cfg)
+            let exec_cfg = ExecConfig::with_input(inputs[0].clone());
+            let tasks = extract_tasks(&module, &exec_cfg, best.extract_config())
                 .map_err(|e| CliError::runtime(e.to_string()))?;
             artifact = artifact.with_tasks(tasks);
         }
@@ -731,22 +727,39 @@ fn salvage_note(report: &RecoveryReport) -> String {
     )
 }
 
-/// Folds a `--recover` outcome into the metrics counters and — when
-/// anything was actually dropped — a stderr notice. Stdout is left to the
-/// per-analysis renderers so it stays byte-stable across job counts.
-fn surface_salvage(report: &RecoveryReport, metrics: Option<&Metrics>) {
-    if let Some(m) = metrics {
+/// Decodes a whole trace chunk-parallel on `jobs` workers into batches.
+/// Strict by default; with `recover`, corrupt or truncated chunks are
+/// skipped and the [`RecoveryReport`] is returned, folded into the metrics
+/// counters and — when anything was actually dropped — announced on
+/// stderr. Stdout is left to the per-analysis renderers so it stays
+/// byte-stable across job counts.
+fn decode_trace(
+    path: &str,
+    reader: TraceReader<BufReader<std::fs::File>>,
+    jobs: usize,
+    recover: bool,
+    m: Option<&Metrics>,
+) -> Result<(Vec<EventBatch>, ReplaySummary, Option<RecoveryReport>), CliError> {
+    if !recover {
+        let (batches, summary) =
+            decode_batches_par_with(reader, jobs, m).map_err(|e| trace_read_err(path, &e))?;
+        return Ok((batches, summary, None));
+    }
+    let (batches, summary, report) = decode_batches_par_recover(reader, jobs, m);
+    if let Some(m) = m {
         m.add(Counter::TraceChunksSkipped, report.chunks_skipped);
         m.add(Counter::TraceEventsSalvaged, report.events_salvaged);
     }
     if !report.is_clean() {
-        eprintln!("{}", salvage_note(report));
+        eprintln!("{}", salvage_note(&report));
     }
+    Ok((batches, summary, Some(report)))
 }
 
 /// Replays a recorded trace (chunk-parallel with `--jobs`) into a profile
 /// artifact, embedding the trace's source and the best candidate's task
-/// summary — all offline, no re-execution. With `recover`, corrupt or
+/// summary — all offline, no re-execution. One partition choice serves
+/// both the profiler and the task extraction. With `recover`, corrupt or
 /// truncated chunks are skipped instead of failing the save.
 fn save_from_trace(
     path: &str,
@@ -760,35 +773,27 @@ fn save_from_trace(
         .source()
         .expect("trace_module required the source")
         .to_owned();
-    let (batches, summary) = if recover {
-        let (batches, summary, report) = decode_batches_par_recover(reader, jobs, m);
-        surface_salvage(&report, m);
-        (batches, summary)
-    } else {
-        decode_batches_par_with(reader, jobs, m).map_err(|e| trace_read_err(path, &e))?
-    };
-    let (profile, _, _) = profile_batches_par_with(
+    let (batches, summary, _) = decode_trace(path, reader, jobs, recover, m)?;
+    let spec = ShardSpec::for_batches(&batches, jobs as u32);
+    let (profile, _, _) = profile_batches_par_spec(
         &module,
         &batches,
         summary.total_steps,
         ProfileConfig::default(),
-        jobs,
+        spec,
+        ShardTuning::default(),
         m,
     )?;
     let mut artifact = ProfileArtifact::new(profile).with_source(source);
     let report = ProfileReport::new(&artifact.profile, &module);
     let candidates = suggest_candidates(&report, &module, 0.02, 0);
     if let Some(best) = candidates.first() {
-        let mut cfg = ExtractConfig::default().mark(best.head);
-        for v in &best.privatize {
-            cfg = cfg.privatize(v);
-        }
-        let tasks = extract_tasks_from_batches_par_with(
+        let tasks = extract_tasks_from_batches_par(
             &module,
-            cfg,
+            best.extract_config(),
             &batches,
             summary.total_steps,
-            jobs,
+            spec,
             m,
         )?;
         artifact = artifact.with_tasks(tasks);
@@ -1154,12 +1159,12 @@ fn advise_cmd(args: &[String]) -> Result<(), CliError> {
     }
     // Simulate the top candidate.
     let best = &candidates[0];
-    let mut cfg = ExtractConfig::default().mark(best.head);
-    for v in &best.privatize {
-        cfg = cfg.privatize(v);
-    }
-    let trace = extract_tasks(&outcome.module, &ExecConfig::with_input(a.input), cfg)
-        .map_err(|e| CliError::runtime(e.to_string()))?;
+    let trace = extract_tasks(
+        &outcome.module,
+        &ExecConfig::with_input(a.input),
+        best.extract_config(),
+    )
+    .map_err(|e| CliError::runtime(e.to_string()))?;
     let sim = simulate(&trace, &SimConfig::with_threads(a.threads));
     println!(
         "\nsimulating `{}` as a future on {} threads: {:.2}x speedup \
@@ -1451,8 +1456,6 @@ fn replay_cmd(args: &[String]) -> Result<(), CliError> {
         "--jobs",
         "--batch-size",
         "--scale",
-        "--shard-flush",
-        "--shard-depth",
         "--war-waw",
         "--profile-out",
         "--recover",
@@ -1466,8 +1469,6 @@ fn replay_cmd(args: &[String]) -> Result<(), CliError> {
     let mut jobs = 1usize;
     let mut batch_size = None;
     let mut scale = None;
-    let mut shard_flush = None;
-    let mut shard_depth = None;
     let mut war_waw = None;
     let mut profile_out = None;
     let mut recover = false;
@@ -1511,12 +1512,6 @@ fn replay_cmd(args: &[String]) -> Result<(), CliError> {
             "--scale" => {
                 scale = Some(parse_scale(it.next())?);
             }
-            "--shard-flush" => {
-                shard_flush = Some(parse_ge1("--shard-flush", it.next())?);
-            }
-            "--shard-depth" => {
-                shard_depth = Some(parse_ge1("--shard-depth", it.next())?);
-            }
             "--war-waw" => {
                 war_waw = Some(it.next().ok_or("--war-waw needs a label")?.clone());
             }
@@ -1530,10 +1525,6 @@ fn replay_cmd(args: &[String]) -> Result<(), CliError> {
     // `--analysis` accepts a comma-separated list; one decode pass serves
     // every requested analysis.
     let analyses = parse_analyses(&analysis)?;
-    let tuning = ShardTuning {
-        channel_depth: shard_depth.unwrap_or(alchemist_core::SHARD_CHANNEL_DEPTH),
-        flush_events: shard_flush.unwrap_or(alchemist_core::SHARD_FLUSH_EVENTS),
-    };
     // The positional may also name a bundled workload: record it to a
     // temporary trace at the requested scale, replay that, clean up. This
     // is what lets the perf suite drive tens-of-millions-of-events replays
@@ -1576,7 +1567,6 @@ fn replay_cmd(args: &[String]) -> Result<(), CliError> {
         threads,
         jobs,
         batch_size,
-        tuning,
         war_waw.as_deref(),
         profile_out.as_deref(),
         recover,
@@ -1654,7 +1644,6 @@ fn run_replay(
     threads: usize,
     jobs: usize,
     batch_size: Option<usize>,
-    tuning: ShardTuning,
     war_waw: Option<&str>,
     profile_out: Option<&str>,
     recover: bool,
@@ -1695,7 +1684,7 @@ fn run_replay(
 
     let mut profile: Option<DepProfile> = None;
     let mut recovery: Option<RecoveryReport> = None;
-    let mut batches_kept: Option<Vec<EventBatch>> = None;
+    let mut advise_input: Option<(Vec<EventBatch>, ShardSpec)> = None;
     let mut shard_counts: Option<Vec<u64>> = None;
     let mut counts = CountingSink::default();
     let mut addrs = AddrSpan::default();
@@ -1738,15 +1727,9 @@ fn run_replay(
                      --recover (batches follow the trace's chunk boundaries)"
                 );
             }
-            let (batches, s) = if recover {
-                let (batches, s, rep) = decode_batches_par_recover(reader, jobs, m);
-                surface_salvage(&rep, m);
-                recovery = Some(rep);
-                (batches, s)
-            } else {
-                decode_batches_par_with(reader, jobs, m).map_err(|e| trace_read_err(path, &e))?
-            };
+            let (batches, s, rep) = decode_trace(path, reader, jobs, recover, m)?;
             summary = s;
+            recovery = rep;
             if need_stats {
                 let mut fan = MultiSink::new();
                 fan.push(&mut counts).push(&mut addrs);
@@ -1760,7 +1743,7 @@ fn run_replay(
             if need_profile {
                 let md = module.as_ref().expect("profile requires a module");
                 // One partition choice serves the profiler, the per-shard
-                // summary and the report's imbalance note.
+                // summary, the report's imbalance note and task extraction.
                 let spec = ShardSpec::for_batches(&batches, jobs as u32);
                 let (p, _, _) = {
                     let _profile_span = span_opt(m, Stage::Profile);
@@ -1770,7 +1753,7 @@ fn run_replay(
                         summary.total_steps,
                         ProfileConfig::default(),
                         spec,
-                        tuning,
+                        ShardTuning::default(),
                         m,
                     )?
                 };
@@ -1786,9 +1769,9 @@ fn run_replay(
                     shard_counts = Some(per_shard);
                 }
                 profile = Some(p);
-            }
-            if need_advise {
-                batches_kept = Some(batches);
+                if need_advise {
+                    advise_input = Some((batches, spec));
+                }
             }
         } else {
             // Streaming path: one batched pass, no event buffer; the
@@ -1867,8 +1850,8 @@ fn run_replay(
             "advise" => {
                 let p = profile.as_ref().expect("profiled above");
                 let md = module.as_ref().expect("advise requires a module");
-                let batches = batches_kept.as_ref().expect("advise keeps the batches");
-                render_advise(md, p, batches, summary.total_steps, threads, jobs, m)?;
+                let (batches, spec) = advise_input.as_ref().expect("advise keeps the batches");
+                render_advise(md, p, batches, *spec, summary.total_steps, threads, m)?;
             }
             "stats" => {
                 let (version, infos, source_lines) = stats_scan.as_ref().expect("scanned above");
@@ -1905,15 +1888,15 @@ fn run_replay(
 }
 
 /// Prints parallelization candidates and simulates the best one from the
-/// already-decoded batch stream: no re-execution, no re-decode.
-#[allow(clippy::too_many_arguments)]
+/// already-decoded batch stream, sharded under the profiler's `spec`: no
+/// re-execution, no re-decode.
 fn render_advise(
     module: &alchemist_vm::Module,
     profile: &DepProfile,
     batches: &[EventBatch],
+    spec: ShardSpec,
     total_steps: u64,
     threads: usize,
-    jobs: usize,
     metrics: Option<&Metrics>,
 ) -> Result<(), CliError> {
     let report = ProfileReport::new(profile, module);
@@ -1938,12 +1921,14 @@ fn render_advise(
     // Simulate the top candidate from the same recorded batches: no
     // re-execution anywhere in this pipeline.
     let best = &candidates[0];
-    let mut cfg = ExtractConfig::default().mark(best.head);
-    for v in &best.privatize {
-        cfg = cfg.privatize(v);
-    }
-    let trace =
-        extract_tasks_from_batches_par_with(module, cfg, batches, total_steps, jobs, metrics)?;
+    let trace = extract_tasks_from_batches_par(
+        module,
+        best.extract_config(),
+        batches,
+        total_steps,
+        spec,
+        metrics,
+    )?;
     let sim = simulate(&trace, &SimConfig::with_threads(threads));
     println!(
         "\nsimulating `{}` as a future on {} threads: {:.2}x speedup \

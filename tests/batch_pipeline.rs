@@ -2,18 +2,18 @@
 //! — batched live profiling (`ExecConfig::batch_events`), batched
 //! recording through `TraceWriter::on_batch`, batched sequential replay
 //! (`replay_batched_into`) and batched sharded replay
-//! (`decode_batches_par` + `profile_batches_par`) — must produce
+//! (`decode_batches_par_with` + `profile_batches_par_spec`) — must produce
 //! byte-identical `.alct` files and `DepProfile`s **equal** (`==`) to the
 //! per-event pipeline, and likewise for batched task extraction. This is
 //! the determinism guarantee behind the `--batch-size` flag, enforced in
 //! CI in release mode alongside the sharded-replay parity gate.
 
 use alchemist_core::{
-    profile_batches_par, profile_events, profile_module, shard_batch_counts, shard_event_counts,
-    AlchemistProfiler, ProfileConfig,
+    profile_batches_par_spec, profile_events, profile_module, shard_batch_counts_spec,
+    AlchemistProfiler, ProfileConfig, ShardSpec, ShardTuning,
 };
 use alchemist_parsim::{extract_tasks, extract_tasks_from_batches_par, ExtractConfig};
-use alchemist_trace::{decode_batches_par, TraceReader, TraceWriter};
+use alchemist_trace::{decode_batches_par_with, TraceReader, TraceWriter};
 use alchemist_vm::{Event, EventBatch, ExecConfig, Module};
 use alchemist_workloads::Scale;
 
@@ -124,25 +124,40 @@ fn batched_replay_paths_equal_per_event_for_every_workload() {
         // Batched sharded replay: chunk-parallel decode into batches, then
         // single-pass partitioning across worker shards.
         let (batches, summary) =
-            decode_batches_par(TraceReader::new(bytes.as_slice()).expect("header"), 4)
+            decode_batches_par_with(TraceReader::new(bytes.as_slice()).expect("header"), 4, None)
                 .expect("batch decode");
         let flat: Vec<Event> = batches.iter().flat_map(|b| b.iter()).collect();
         assert_eq!(flat, events, "{}: batch decode diverges", w.name);
         assert_eq!(summary.total_steps, steps, "{}", w.name);
-        for jobs in [1usize, 2, 4, 7] {
-            let (par, ..) =
-                profile_batches_par(&module, &batches, steps, ProfileConfig::default(), jobs)
-                    .expect("no shard panic");
+        for jobs in [1u32, 2, 4, 7] {
+            let spec = ShardSpec::for_batches(&batches, jobs);
+            let (par, ..) = profile_batches_par_spec(
+                &module,
+                &batches,
+                steps,
+                ProfileConfig::default(),
+                spec,
+                ShardTuning::default(),
+                None,
+            )
+            .expect("no shard panic");
             assert_eq!(
                 par, live,
                 "{}: batched sharded replay (jobs={jobs}) diverges",
                 w.name
             );
         }
-        // The batched shard split matches the per-event one exactly.
+        // The batched shard split matches per-event ownership exactly.
+        let spec = ShardSpec::for_batches(&batches, 4);
+        let mut per_event = vec![0u64; 4];
+        for ev in &events {
+            if let Event::Read { addr, .. } | Event::Write { addr, .. } = *ev {
+                per_event[spec.shard_of(addr) as usize] += 1;
+            }
+        }
         assert_eq!(
-            shard_batch_counts(&batches, 4),
-            shard_event_counts(&events, 4),
+            shard_batch_counts_spec(&batches, spec),
+            per_event,
             "{}",
             w.name
         );
@@ -164,15 +179,16 @@ fn batched_task_extraction_equals_live_for_parallel_workloads() {
         let live = extract_tasks(&module, &w.exec_config(Scale::Tiny), cfg.clone())
             .unwrap_or_else(|e| panic!("{} trapped: {e}", w.name));
         let (batches, summary) =
-            decode_batches_par(TraceReader::new(bytes.as_slice()).expect("header"), 4)
+            decode_batches_par_with(TraceReader::new(bytes.as_slice()).expect("header"), 4, None)
                 .expect("batch decode");
-        for jobs in [1usize, 2, 4] {
+        for jobs in [1u32, 2, 4] {
             let par = extract_tasks_from_batches_par(
                 &module,
                 cfg.clone(),
                 &batches,
                 summary.total_steps,
-                jobs,
+                ShardSpec::for_batches(&batches, jobs),
+                None,
             )
             .expect("no shard panic");
             assert_eq!(

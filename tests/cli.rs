@@ -1,5 +1,6 @@
 //! End-to-end tests of the `alchemist` command-line binary.
 
+use alchemist_trace::ProfileArtifact;
 use std::io::Write as _;
 use std::process::Command;
 
@@ -414,17 +415,19 @@ fn scale_and_shard_tunables_are_validated() {
         .output()
         .expect("spawns");
     assert!(rec.status.success());
-    // The handoff tunables take the same >= 1 validation as --batch-size.
+    // The shard hand-off is not user-tunable: the old tuning flags are
+    // rejected like any other unknown flag, with the usage exit code.
     for flag in ["--shard-flush", "--shard-depth"] {
         let out = bin()
             .args(["replay"])
             .arg(&trace_path)
-            .args([flag, "0"])
+            .args([flag, "1"])
             .output()
             .expect("spawns");
-        assert!(!out.status.success(), "{flag}");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
         assert!(
-            String::from_utf8_lossy(&out.stderr).contains(&format!("{flag} must be >= 1")),
+            String::from_utf8_lossy(&out.stderr)
+                .contains(&format!("unknown flag `{flag}` for `alchemist replay`")),
             "{flag}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
@@ -503,32 +506,51 @@ fn workload_name_positional_records_and_replays() {
         from_file.stdout, from_name.stdout,
         "workload-name replay diverges from file replay"
     );
-    // The handoff tunables change scheduling, never results: a sharded
-    // replay with a degenerate 1-event flush and 1-deep channel still
-    // renders the sequential report (modulo the jobs-dependent imbalance
-    // note).
-    let tuned = bin()
-        .args(["replay", "130.li"])
-        .args(["--jobs", "3", "--shard-flush", "1", "--shard-depth", "1"])
+    let _ = std::fs::remove_file(trace_path);
+}
+
+/// Records bundled workload `name` at the default scale to a temp trace.
+fn record_workload(name: &str, tag: &str) -> std::path::PathBuf {
+    let trace_path = temp_trace_path(tag);
+    let rec = bin()
+        .args(["record", name, "-o"])
+        .arg(&trace_path)
         .output()
         .expect("spawns");
     assert!(
-        tuned.status.success(),
+        rec.status.success(),
         "{}",
-        String::from_utf8_lossy(&tuned.stderr)
+        String::from_utf8_lossy(&rec.stderr)
     );
-    let strip = |bytes: &[u8]| -> String {
-        String::from_utf8_lossy(bytes)
-            .lines()
-            .filter(|l| !l.starts_with("note: shard imbalance"))
-            .map(|l| format!("{l}\n"))
-            .collect()
+    trace_path
+}
+
+/// `replay --analysis advise` shards the task extraction under the same
+/// partition as the profile; the advice must not depend on the job count.
+#[test]
+fn sharded_replay_advise_equals_sequential() {
+    let trace_path = record_workload("ogg", "advisejobs");
+    let advise = |jobs: &str| {
+        let out = bin()
+            .args(["replay"])
+            .arg(&trace_path)
+            .args(["--analysis", "advise", "--jobs", jobs])
+            .output()
+            .expect("spawns");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
     };
-    assert_eq!(
-        strip(&from_file.stdout),
-        strip(&tuned.stdout),
-        "shard tunables leaked into the report"
+    let seq = advise("1");
+    assert!(
+        String::from_utf8_lossy(&seq).contains("simulating"),
+        "{}",
+        String::from_utf8_lossy(&seq)
     );
+    assert_eq!(advise("3"), seq, "sharded advice diverges");
     let _ = std::fs::remove_file(trace_path);
 }
 
@@ -860,6 +882,45 @@ fn profile_save_merge_query_round_trips_through_files() {
         let _ = std::fs::remove_file(p);
     }
     let _ = std::fs::remove_file(src);
+}
+
+/// `profile save` of a trace profiles and extracts tasks under one
+/// partition; the artifact — profile and embedded task summary — must not
+/// depend on the job count.
+#[test]
+fn profile_save_of_a_trace_is_independent_of_jobs() {
+    let trace_path = record_workload("ogg", "savejobs");
+    let save = |jobs: &str| {
+        let out_path = temp_artifact_path(&format!("savejobs-{jobs}"));
+        let out = bin()
+            .args(["profile", "save"])
+            .arg(&trace_path)
+            .args(["--jobs", jobs, "-o"])
+            .arg(&out_path)
+            .output()
+            .expect("spawns");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let bytes = std::fs::read(&out_path).expect("artifact written");
+        let _ = std::fs::remove_file(out_path);
+        let mut artifact = ProfileArtifact::from_bytes(&bytes).expect("artifact decodes");
+        // Shadow-layout telemetry describes the profiling machinery — a
+        // sharded replay may fault a page once per shard — and is excluded
+        // from profile equality; every other byte must match.
+        artifact.profile.shadow_stats = Default::default();
+        artifact.to_bytes()
+    };
+    let seq = save("1");
+    let seq_artifact = ProfileArtifact::from_bytes(&seq).expect("artifact decodes");
+    assert!(
+        seq_artifact.tasks.is_some_and(|t| !t.tasks.is_empty()),
+        "the best candidate's task summary is embedded"
+    );
+    assert_eq!(save("3"), seq, "sharded save diverges");
+    let _ = std::fs::remove_file(trace_path);
 }
 
 /// The `--profile-out` rider writes the same bytes whether it rides a

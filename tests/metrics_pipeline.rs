@@ -7,8 +7,7 @@
 //! populated report survives the JSON round trip bit-for-bit.
 
 use alchemist_core::{
-    profile_batches_par_spec, profile_batches_par_with, ProfileConfig, ShardSpec, ShardTuning,
-    PAGE_SHIFT, SHARD_FLUSH_EVENTS,
+    profile_batches_par_spec, ProfileConfig, ShardSpec, ShardTuning, PAGE_SHIFT, SHARD_FLUSH_EVENTS,
 };
 use alchemist_obs::{Counter, Hist, Metrics, MetricsReport, Stage, SCHEMA_VERSION};
 use alchemist_trace::{decode_batches_par_with, TraceReader, TraceWriter};
@@ -55,12 +54,13 @@ fn counter_totals_agree_across_live_seq_and_par_replay() {
             .replay_batched_into(&mut rec, DEFAULT_BATCH_EVENTS)
             .expect("seq replay");
         let seq_batches = vec![alchemist_vm::EventBatch::from_events(&rec.events)];
-        let (seq_profile, _, _) = profile_batches_par_with(
+        let (seq_profile, _, _) = profile_batches_par_spec(
             &module,
             &seq_batches,
             steps,
             ProfileConfig::default(),
-            1,
+            ShardSpec::for_batches(&seq_batches, 1),
+            ShardTuning::default(),
             Some(&seq),
         )
         .expect("no shard panic");
@@ -73,12 +73,13 @@ fn counter_totals_agree_across_live_seq_and_par_replay() {
             Some(&par),
         )
         .expect("par decode");
-        let (par_profile, _, _) = profile_batches_par_with(
+        let (par_profile, _, _) = profile_batches_par_spec(
             &module,
             &batches,
             summary.total_steps,
             ProfileConfig::default(),
-            4,
+            ShardSpec::for_batches(&batches, 4),
+            ShardTuning::default(),
             Some(&par),
         )
         .expect("no shard panic");
@@ -202,12 +203,13 @@ fn page_partition_does_not_duplicate_shadow_pages() {
         Some(&m),
     )
     .expect("no shard panic");
-    let (seq, _, _) = profile_batches_par_with(
+    let (seq, _, _) = profile_batches_par_spec(
         &module,
         &batches,
         out.steps,
         ProfileConfig::default(),
-        1,
+        ShardSpec::for_batches(&batches, 1),
+        ShardTuning::default(),
         None,
     )
     .expect("no shard panic");
@@ -311,12 +313,13 @@ fn populated_report_round_trips_through_json() {
         Some(&m),
     )
     .expect("decode");
-    profile_batches_par_with(
+    profile_batches_par_spec(
         &module,
         &batches,
         steps,
         ProfileConfig::default(),
-        4,
+        ShardSpec::for_batches(&batches, 4),
+        ShardTuning::default(),
         Some(&m),
     )
     .expect("no shard panic");

@@ -6,12 +6,12 @@
 //! release mode.
 
 use alchemist_core::{
-    partition_batch, profile_batches_par, profile_events, profile_events_par, profile_module,
-    shard_event_counts, ProfileConfig, ShardSpec, PAGE_SHIFT,
+    partition_batch, profile_batches_par_spec, profile_events, profile_module,
+    shard_batch_counts_spec, DepProfile, ProfileConfig, ShardSpec, ShardTuning, PAGE_SHIFT,
 };
-use alchemist_parsim::{extract_tasks, extract_tasks_from_events_par, ExtractConfig};
-use alchemist_trace::{decode_batches_par, decode_events_par, TraceReader, TraceWriter};
-use alchemist_vm::{Event, Module};
+use alchemist_parsim::{extract_tasks, extract_tasks_from_batches_par, ExtractConfig};
+use alchemist_trace::{decode_batches_par_with, ReplaySummary, TraceReader, TraceWriter};
+use alchemist_vm::{Event, EventBatch, Module};
 use alchemist_workloads::Scale;
 
 /// Records one workload run at `scale` into an in-memory trace.
@@ -36,6 +36,28 @@ fn record(w: &alchemist_workloads::Workload) -> (Module, Vec<u8>, u64) {
     record_at(w, Scale::Tiny)
 }
 
+/// Chunk-parallel decode of a whole in-memory trace on 4 workers.
+fn decode(bytes: &[u8]) -> (Vec<EventBatch>, ReplaySummary) {
+    decode_batches_par_with(TraceReader::new(bytes).expect("header"), 4, None)
+        .expect("parallel decode")
+}
+
+/// Sharded replay across `jobs` workers under the chooser's partition.
+fn profile_par(module: &Module, batches: &[EventBatch], steps: u64, jobs: u32) -> DepProfile {
+    let spec = ShardSpec::for_batches(batches, jobs);
+    let (profile, ..) = profile_batches_par_spec(
+        module,
+        batches,
+        steps,
+        ProfileConfig::default(),
+        spec,
+        ShardTuning::default(),
+        None,
+    )
+    .expect("no shard panic");
+    profile
+}
+
 #[test]
 fn parallel_replay_profile_equals_sequential_and_live_for_every_workload() {
     for w in alchemist_workloads::all() {
@@ -57,9 +79,8 @@ fn parallel_replay_profile_equals_sequential_and_live_for_every_workload() {
             w.name
         );
         let seq_events: Vec<Event> = reader.map(|e| e.expect("decode")).collect();
-        let (events, summary) =
-            decode_events_par(TraceReader::new(bytes.as_slice()).expect("header"), 4)
-                .expect("parallel decode");
+        let (batches, summary) = decode(&bytes);
+        let events: Vec<Event> = batches.iter().flat_map(|b| b.iter()).collect();
         assert_eq!(events, seq_events, "{}: parallel decode diverges", w.name);
         assert_eq!(summary.total_steps, steps, "{}", w.name);
         // Sequential replay equals live.
@@ -75,10 +96,8 @@ fn parallel_replay_profile_equals_sequential_and_live_for_every_workload() {
             w.name
         );
         // Sharded replay equals both, for several worker counts.
-        for jobs in [2usize, 4, 7] {
-            let (par, ..) =
-                profile_events_par(&module, &events, steps, ProfileConfig::default(), jobs)
-                    .expect("no shard panic");
+        for jobs in [2u32, 4, 7] {
+            let par = profile_par(&module, &batches, steps, jobs);
             assert_eq!(
                 par, live,
                 "{}: parallel replay (jobs={jobs}) diverges from live",
@@ -86,7 +105,7 @@ fn parallel_replay_profile_equals_sequential_and_live_for_every_workload() {
             );
         }
         // The shard split covers every memory event exactly once.
-        let counts = shard_event_counts(&events, 4);
+        let counts = shard_batch_counts_spec(&batches, ShardSpec::for_batches(&batches, 4));
         let mem: u64 = events
             .iter()
             .filter(|e| matches!(e, Event::Read { .. } | Event::Write { .. }))
@@ -105,9 +124,7 @@ fn parallel_replay_profile_equals_sequential_and_live_for_every_workload() {
 fn partition_routes_every_address_stream_to_exactly_one_shard() {
     for w in alchemist_workloads::all() {
         let (_, bytes, _) = record(w);
-        let (batches, _) =
-            decode_batches_par(TraceReader::new(bytes.as_slice()).expect("header"), 4)
-                .expect("decode");
+        let (batches, _) = decode(&bytes);
         let chosen = ShardSpec::for_batches(&batches, 4);
         let page_granular = ShardSpec::with_shift(4, PAGE_SHIFT);
         for spec in [chosen, page_granular] {
@@ -181,18 +198,9 @@ fn parity_holds_across_scales_and_job_counts() {
             let (live, ..) =
                 profile_module(&module, &w.exec_config(scale), ProfileConfig::default())
                     .unwrap_or_else(|e| panic!("{} trapped: {e}", w.name));
-            let (batches, summary) =
-                decode_batches_par(TraceReader::new(bytes.as_slice()).expect("header"), 4)
-                    .expect("decode");
-            for jobs in [2usize, 3, 5] {
-                let (par, _, _) = profile_batches_par(
-                    &module,
-                    &batches,
-                    summary.total_steps,
-                    ProfileConfig::default(),
-                    jobs,
-                )
-                .expect("no shard panic");
+            let (batches, summary) = decode(&bytes);
+            for jobs in [2u32, 3, 5] {
+                let par = profile_par(&module, &batches, summary.total_steps, jobs);
                 assert_eq!(
                     par,
                     live,
@@ -219,16 +227,15 @@ fn parallel_task_extraction_equals_live_for_parallel_workloads() {
         }
         let live = extract_tasks(&module, &w.exec_config(Scale::Tiny), cfg.clone())
             .unwrap_or_else(|e| panic!("{} trapped: {e}", w.name));
-        let (events, summary) =
-            decode_events_par(TraceReader::new(bytes.as_slice()).expect("header"), 4)
-                .expect("parallel decode");
-        for jobs in [2usize, 4] {
-            let par = extract_tasks_from_events_par(
+        let (batches, summary) = decode(&bytes);
+        for jobs in [2u32, 4] {
+            let par = extract_tasks_from_batches_par(
                 &module,
                 cfg.clone(),
-                &events,
+                &batches,
                 summary.total_steps,
-                jobs,
+                ShardSpec::for_batches(&batches, jobs),
+                None,
             )
             .expect("no shard panic");
             assert_eq!(

@@ -41,11 +41,12 @@ fn full_pipeline_on_a_pipeline_shaped_program() {
 
     // 2. Simulation: near-linear on 4 threads (independent tasks, the
     //    consuming loop joins each producer long after it finished).
-    let mut cfg = ExtractConfig::default().mark(stage.head);
-    for v in &stage.privatize {
-        cfg = cfg.privatize(v);
-    }
-    let trace = extract_tasks(&outcome.module, &ExecConfig::default(), cfg).expect("runs");
+    let trace = extract_tasks(
+        &outcome.module,
+        &ExecConfig::default(),
+        stage.extract_config(),
+    )
+    .expect("runs");
     assert_eq!(trace.tasks.len(), 16);
     let sim4 = simulate(&trace, &SimConfig::with_threads(4));
     let sim1 = simulate(&trace, &SimConfig::with_threads(1));

@@ -14,9 +14,10 @@
 //! direction (the [`PartialProfile`] order-independence guarantee).
 
 use alchemist_core::{
-    profile_events, profile_events_par, profile_many, profile_module, PartialProfile, ProfileConfig,
+    profile_batches_par_spec, profile_events, profile_many, profile_module, PartialProfile,
+    ProfileConfig, ShardSpec, ShardTuning,
 };
-use alchemist_trace::{ProfileArtifact, TraceReader, TraceWriter};
+use alchemist_trace::{decode_batches_par_with, ProfileArtifact, TraceReader, TraceWriter};
 use alchemist_vm::{compile_source, Event, ExecConfig};
 use alchemist_workloads::Scale;
 use proptest::prelude::*;
@@ -56,8 +57,19 @@ fn live_seq_and_sharded_replay_yield_the_same_artifact_bytes_for_every_workload(
             steps,
             ProfileConfig::default(),
         );
-        let (par, ..) = profile_events_par(&module, &events, steps, ProfileConfig::default(), 4)
-            .expect("no shard panic");
+        let (batches, _) =
+            decode_batches_par_with(TraceReader::new(trace.as_slice()).expect("header"), 4, None)
+                .expect("parallel decode");
+        let (par, ..) = profile_batches_par_spec(
+            &module,
+            &batches,
+            steps,
+            ProfileConfig::default(),
+            ShardSpec::for_batches(&batches, 4),
+            ShardTuning::default(),
+            None,
+        )
+        .expect("no shard panic");
         assert_eq!(seq, live, "{}: seq replay diverges from live", w.name);
         assert_eq!(par, live, "{}: jobs-4 replay diverges from live", w.name);
 
