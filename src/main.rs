@@ -1,13 +1,7 @@
-//! The `alchemist` command-line profiler.
-//!
-//! ```text
-//! alchemist profile <file.mc> [--input a,b,c] [--top N] [--war-waw LABEL]
-//! alchemist run <file.mc> [--input a,b,c]
-//! alchemist advise <file.mc> [--input a,b,c] [--threads K]
-//! alchemist record <file.mc> [--input a,b,c] [-o trace.alct]
-//! alchemist replay <trace.alct> [--analysis profile|advise|stats] [--jobs N]
-//! alchemist workloads [--json]
-//! ```
+//! The `alchemist` command-line profiler. `USAGE` in `args.rs` lists its
+//! commands and flags.
+
+mod args;
 
 use alchemist_core::shadow::{Access, ShadowMemory};
 use alchemist_core::{
@@ -18,7 +12,7 @@ use alchemist_core::{
 use alchemist_obs::{span_opt, Counter, Metrics, Stage};
 use alchemist_parsim::{
     extract_tasks, extract_tasks_from_batches_par, render_timeline, simulate, suggest_candidates,
-    ExtractConfig, SimConfig,
+    Candidate, ExtractConfig, SimConfig, TaskTrace,
 };
 use alchemist_trace::{
     decode_batches_par_recover, decode_batches_par_with, write_atomic, AtomicFile, ChunkInfo,
@@ -30,13 +24,17 @@ use alchemist_vm::{
     TrapKind, DEFAULT_BATCH_EVENTS,
 };
 use alchemist_workloads::Scale;
-use std::io::{BufReader, BufWriter};
+use args::{
+    Parsed, ANALYSIS, BATCH_SIZE, CHUNK_EVENTS, CONSTRUCT, CRC, CSV_CONSTRUCTS, CSV_EDGES, JOBS,
+    JSON, MARK, OUT, PRIVATIZE, PROFILE_OUT, RECOVER, THREADS, TIMELINE, TOP, WAR_WAW,
+};
+use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run_cli(&args) {
+    match args::dispatch(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             // SIGINT is a request, not a failure: no "error:" prefix.
@@ -47,45 +45,12 @@ fn main() -> ExitCode {
             }
             if e.show_usage {
                 eprintln!();
-                eprintln!("{USAGE}");
+                eprintln!("{}", args::USAGE);
             }
             ExitCode::from(e.kind.exit_code())
         }
     }
 }
-
-const USAGE: &str = "usage:
-  alchemist profile <file.mc> [--input a,b,c] [--top N] [--war-waw LABEL]
-                    [--csv-constructs FILE] [--csv-edges FILE]
-  alchemist profile save <file.mc|trace.alct> [--input a,b,c]...
-                    [-o|--out FILE.alcp] [--jobs N] [--recover]
-                    [--metrics text|json] [--metrics-out FILE]
-  alchemist profile merge <A.alcp> <B.alcp>... -o|--out FILE.alcp
-                    [--metrics text|json] [--metrics-out FILE]
-  alchemist profile query <FILE.alcp> [--analysis profile,advise,stats]
-                    [--construct PC|LABEL] [--top N] [--threads K]
-                    [--metrics text|json] [--metrics-out FILE]
-  alchemist run <file.mc|workload> [--input a,b,c] [--scale S] [--batch-size N]
-                [--profile-out FILE.alcp]
-                [--metrics text|json] [--metrics-out FILE]
-  alchemist advise <file.mc> [--input a,b,c] [--threads K]
-  alchemist simulate <file.mc> --mark FUNC[,FUNC..] [--privatize a,b]
-                     [--input a,b,c] [--threads K] [--timeline]
-  alchemist record <file.mc|workload> [--input a,b,c] [--scale S]
-                   [-o|--out trace.alct] [--chunk-events N] [--batch-size N]
-                   [--crc] [--profile-out FILE.alcp]
-                   [--metrics text|json] [--metrics-out FILE]
-  alchemist replay <trace.alct|workload> [--analysis profile,advise,stats]
-                   [--top N] [--threads K] [--jobs N] [--batch-size N]
-                   [--scale S] [--war-waw LABEL] [--profile-out FILE.alcp]
-                   [--recover] [--metrics text|json] [--metrics-out FILE]
-  alchemist workloads [--json] [--scale S]
-
-where <workload> is a bundled workload name (see `alchemist workloads`)
-and S is one of tiny, small, default, large, huge (default tiny)
-
-exit codes: 0 success, 1 program error (compile error or runtime trap),
-2 usage, 3 I/O, 4 corrupt input, 5 internal error, 130 interrupted";
 
 /// The CLI's documented error taxonomy, one exit code per kind (see the
 /// trailing lines of [`USAGE`] and the README's exit-code table). Scripts
@@ -126,6 +91,7 @@ impl ErrorKind {
 /// Unknown flags set `show_usage = false` — the error itself names the
 /// offending flag and the flags the command accepts, which is more useful
 /// than re-printing the whole usage text.
+#[derive(Debug)]
 struct CliError {
     msg: String,
     show_usage: bool,
@@ -199,37 +165,6 @@ fn trace_read_err(path: &str, e: &TraceError) -> CliError {
     }
 }
 
-fn unknown_flag(cmd: &str, flag: &str, known: &[&str]) -> CliError {
-    CliError::bare(format!(
-        "unknown flag `{flag}` for `alchemist {cmd}` (expected one of: {})",
-        known.join(", ")
-    ))
-}
-
-/// Parses a flag value that must be a positive count; zero gets a
-/// named-flag error (`--jobs must be >= 1`) instead of whatever the
-/// zero-value path would otherwise do.
-fn parse_ge1(flag: &str, value: Option<&String>) -> Result<usize, CliError> {
-    let v = value.ok_or_else(|| CliError::from(format!("{flag} needs a value")))?;
-    let n: usize = v
-        .parse()
-        .map_err(|e| CliError::from(format!("{flag}: {e}")))?;
-    if n == 0 {
-        return Err(CliError::bare(format!("{flag} must be >= 1")));
-    }
-    Ok(n)
-}
-
-/// Parses a `--scale` value into a workload input scale.
-fn parse_scale(value: Option<&String>) -> Result<Scale, CliError> {
-    let v = value.ok_or_else(|| CliError::from("--scale needs a value"))?;
-    Scale::parse(v).ok_or_else(|| {
-        CliError::bare(format!(
-            "--scale: unknown scale `{v}` (expected tiny, small, default, large or huge)"
-        ))
-    })
-}
-
 /// Resolves a positional program argument: an on-disk mini-C file, or the
 /// name of a bundled workload (`alchemist workloads` lists them). Workload
 /// names pick up their deterministic generated input at `--scale` (default
@@ -267,39 +202,6 @@ fn resolve_program(
         )
         .into()),
     }
-}
-
-fn run_cli(args: &[String]) -> Result<(), CliError> {
-    let mut it = args.iter();
-    let cmd = it.next().ok_or("no command given")?;
-    match cmd.as_str() {
-        "profile" => profile_cmd(&args[1..]),
-        "run" => run_cmd(&args[1..]),
-        "advise" => advise_cmd(&args[1..]),
-        "simulate" => simulate_cmd(&args[1..]),
-        "record" => record_cmd(&args[1..]),
-        "replay" => replay_cmd(&args[1..]),
-        "workloads" => workloads_cmd(&args[1..]),
-        other => Err(format!("unknown command `{other}`").into()),
-    }
-}
-
-struct CommonArgs {
-    source: String,
-    input: Vec<i64>,
-    top: usize,
-    war_waw: Option<String>,
-    threads: usize,
-    csv_constructs: Option<String>,
-    csv_edges: Option<String>,
-    mark: Vec<String>,
-    privatize: Vec<String>,
-    timeline: bool,
-    /// `Some` only when `--batch-size` was given explicitly.
-    batch_size: Option<usize>,
-    /// Save the run's dependence profile as a `.alcp` artifact here.
-    profile_out: Option<String>,
-    metrics: MetricsOpt,
 }
 
 /// Validated `--metrics` / `--metrics-out` pair: `format` is `None` when
@@ -409,112 +311,6 @@ fn load_artifact(path: &str, metrics: Option<&Metrics>) -> Result<ProfileArtifac
     })
 }
 
-fn parse_input_list(v: &str) -> Result<Vec<i64>, CliError> {
-    v.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| s.trim().parse::<i64>().map_err(|e| e.to_string().into()))
-        .collect()
-}
-
-/// Parses the flags shared by the source-driven commands. `allowed` is the
-/// subset of flags this particular command accepts, so unknown-flag errors
-/// list exactly what applies (and `run --mark`-style mismatches are
-/// rejected instead of silently ignored).
-fn parse_common(cmd: &str, args: &[String], allowed: &[&str]) -> Result<CommonArgs, CliError> {
-    let mut file = None;
-    let mut input = Vec::new();
-    let mut top = 10;
-    let mut war_waw = None;
-    let mut threads = 4;
-    let mut csv_constructs = None;
-    let mut csv_edges = None;
-    let mut mark = Vec::new();
-    let mut privatize = Vec::new();
-    let mut timeline = false;
-    let mut batch_size = None;
-    let mut profile_out = None;
-    let mut scale = None;
-    let mut metrics_format = None;
-    let mut metrics_out = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a.starts_with('-') && !allowed.contains(&a.as_str()) {
-            return Err(unknown_flag(cmd, a, allowed));
-        }
-        match a.as_str() {
-            "--scale" => {
-                scale = Some(parse_scale(it.next())?);
-            }
-            "--metrics" => {
-                metrics_format = Some(it.next().ok_or("--metrics needs text or json")?.clone());
-            }
-            "--metrics-out" => {
-                metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?.clone());
-            }
-            "--input" => {
-                input = parse_input_list(it.next().ok_or("--input needs a value")?)?;
-            }
-            "--top" => {
-                top = it
-                    .next()
-                    .ok_or("--top needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--top: {e}"))?;
-            }
-            "--war-waw" => {
-                war_waw = Some(it.next().ok_or("--war-waw needs a label")?.clone());
-            }
-            "--csv-constructs" => {
-                csv_constructs = Some(it.next().ok_or("--csv-constructs needs a path")?.clone());
-            }
-            "--csv-edges" => {
-                csv_edges = Some(it.next().ok_or("--csv-edges needs a path")?.clone());
-            }
-            "--mark" => {
-                let v = it.next().ok_or("--mark needs function name(s)")?;
-                mark.extend(v.split(',').map(|s| s.trim().to_owned()));
-            }
-            "--privatize" => {
-                let v = it.next().ok_or("--privatize needs variable name(s)")?;
-                privatize.extend(v.split(',').map(|s| s.trim().to_owned()));
-            }
-            "--timeline" => timeline = true,
-            "--batch-size" => {
-                batch_size = Some(parse_ge1("--batch-size", it.next())?);
-            }
-            "--profile-out" => {
-                profile_out = Some(it.next().ok_or("--profile-out needs a path")?.clone());
-            }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
-            path if file.is_none() => file = Some(path.to_owned()),
-            other => return Err(format!("unexpected argument `{other}`").into()),
-        }
-    }
-    let path = file.ok_or("no source file given")?;
-    let (source, input) = resolve_program(&path, scale, input)?;
-    Ok(CommonArgs {
-        source,
-        input,
-        top,
-        war_waw,
-        threads,
-        csv_constructs,
-        csv_edges,
-        mark,
-        privatize,
-        timeline,
-        batch_size,
-        profile_out,
-        metrics: MetricsOpt::validate(metrics_format, metrics_out)?,
-    })
-}
-
 fn render_profile_report(
     report: &ProfileReport,
     top: usize,
@@ -531,28 +327,9 @@ fn render_profile_report(
     Ok(())
 }
 
-fn profile_cmd(args: &[String]) -> Result<(), CliError> {
-    // `profile save|merge|query` operate on persistent `.alcp` artifacts;
-    // anything else is the classic live-profiling form.
-    match args.first().map(String::as_str) {
-        Some("save") => return profile_save_cmd(&args[1..]),
-        Some("merge") => return profile_merge_cmd(&args[1..]),
-        Some("query") => return profile_query_cmd(&args[1..]),
-        _ => {}
-    }
-    let a = parse_common(
-        "profile",
-        args,
-        &[
-            "--input",
-            "--top",
-            "--war-waw",
-            "--csv-constructs",
-            "--csv-edges",
-        ],
-    )?;
-    let outcome =
-        profile_source(&a.source, a.input).map_err(|e| CliError::runtime(e.to_string()))?;
+fn profile_cmd(p: Parsed) -> Result<(), CliError> {
+    let (source, input) = resolve_program(p.operand(), p.scale(), p.input())?;
+    let outcome = profile_source(&source, input).map_err(|e| CliError::runtime(e.to_string()))?;
     let report = outcome.report();
     println!(
         "profiled {} instructions, {} static constructs, exit value {}",
@@ -561,14 +338,14 @@ fn profile_cmd(args: &[String]) -> Result<(), CliError> {
         outcome.exec.exit_value
     );
     println!();
-    render_profile_report(&report, a.top, a.war_waw.as_deref())?;
-    if let Some(path) = a.csv_constructs {
-        write_atomic(&path, alchemist_core::constructs_to_csv(&report).as_bytes())
+    render_profile_report(&report, p.number(TOP).unwrap_or(10), p.text(WAR_WAW))?;
+    if let Some(path) = p.text(CSV_CONSTRUCTS) {
+        write_atomic(path, alchemist_core::constructs_to_csv(&report).as_bytes())
             .map_err(|e| CliError::io(format!("cannot write {path}: {e}")))?;
         println!("\nwrote construct table to {path}");
     }
-    if let Some(path) = a.csv_edges {
-        write_atomic(&path, alchemist_core::edges_to_csv(&report).as_bytes())
+    if let Some(path) = p.text(CSV_EDGES) {
+        write_atomic(path, alchemist_core::edges_to_csv(&report).as_bytes())
             .map_err(|e| CliError::io(format!("cannot write {path}: {e}")))?;
         println!("wrote edge table to {path}");
     }
@@ -578,65 +355,28 @@ fn profile_cmd(args: &[String]) -> Result<(), CliError> {
 /// `profile save`: profile a source file (once per `--input`, aggregated
 /// through the order-independent [`PartialProfile`] merge) or replay a
 /// recorded trace, and persist the result as a `.alcp` artifact.
-fn profile_save_cmd(args: &[String]) -> Result<(), CliError> {
-    const FLAGS: &[&str] = &[
-        "--input",
-        "-o",
-        "--out",
-        "--jobs",
-        "--recover",
-        "--metrics",
-        "--metrics-out",
-    ];
-    let mut file = None;
-    let mut inputs: Vec<Vec<i64>> = Vec::new();
-    let mut out = None;
-    let mut jobs = 1usize;
-    let mut recover = false;
-    let mut metrics_format = None;
-    let mut metrics_out = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--input" => {
-                inputs.push(parse_input_list(it.next().ok_or("--input needs a value")?)?);
-            }
-            "-o" | "--out" => {
-                out = Some(it.next().ok_or("-o needs a path")?.clone());
-            }
-            "--jobs" => {
-                jobs = parse_ge1("--jobs", it.next())?;
-            }
-            "--recover" => recover = true,
-            "--metrics" => {
-                metrics_format = Some(it.next().ok_or("--metrics needs text or json")?.clone());
-            }
-            "--metrics-out" => {
-                metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?.clone());
-            }
-            flag if flag.starts_with('-') => return Err(unknown_flag("profile save", flag, FLAGS)),
-            path if file.is_none() => file = Some(path.to_owned()),
-            other => return Err(format!("unexpected argument `{other}`").into()),
-        }
-    }
-    let mopt = MetricsOpt::validate(metrics_format, metrics_out)?;
-    let metrics = mopt.enabled().then(Metrics::new);
+fn profile_save_cmd(p: Parsed) -> Result<(), CliError> {
+    let metrics = p.metrics.enabled().then(Metrics::new);
     let m = metrics.as_ref();
-    let path = file.ok_or("profile save needs a source file or trace")?;
-    let out_path = out.unwrap_or_else(|| {
-        let mut p = std::path::PathBuf::from(&path);
-        p.set_extension("alcp");
-        p.display().to_string()
-    });
+    let path = p.operand();
+    let out_path = p.text(OUT).map_or_else(
+        || {
+            let mut out = std::path::PathBuf::from(path);
+            out.set_extension("alcp");
+            out.display().to_string()
+        },
+        str::to_owned,
+    );
     let bytes =
-        std::fs::read(&path).map_err(|e| CliError::io(format!("cannot read {path}: {e}")))?;
+        std::fs::read(path).map_err(|e| CliError::io(format!("cannot read {path}: {e}")))?;
+    let recover = p.switch(RECOVER);
     let artifact = if bytes.starts_with(&alchemist_trace::format::MAGIC) {
-        if !inputs.is_empty() {
+        if !p.inputs().is_empty() {
             return Err(CliError::bare(
                 "--input applies to source saves; a trace already fixes its input",
             ));
         }
-        save_from_trace(&path, jobs, recover, m)?
+        save_from_trace(path, p.number(JOBS).unwrap_or(1), recover, m)?
     } else if bytes.starts_with(&ALCP_MAGIC) {
         return Err(CliError::bare(format!(
             "{path} is already a profile artifact; use `profile merge` or `profile query`"
@@ -649,7 +389,7 @@ fn profile_save_cmd(args: &[String]) -> Result<(), CliError> {
         }
         let source = String::from_utf8(bytes)
             .map_err(|e| CliError::corrupt(format!("cannot read {path}: {e}")))?;
-        save_from_source(&source, inputs, m)?
+        save_from_source(&source, p.inputs().to_vec(), m)?
     };
     let n = write_artifact(&artifact, &out_path, m)?;
     println!(
@@ -659,7 +399,7 @@ fn profile_save_cmd(args: &[String]) -> Result<(), CliError> {
         artifact.profile.total_steps
     );
     if let Some(metrics) = &metrics {
-        mopt.emit(metrics, "profile save")?;
+        p.metrics.emit(metrics, "profile save")?;
     }
     Ok(())
 }
@@ -803,43 +543,19 @@ fn save_from_trace(
 
 /// `profile merge`: fold N artifacts into one through the
 /// order-independent [`PartialProfile`] algebra.
-fn profile_merge_cmd(args: &[String]) -> Result<(), CliError> {
-    const FLAGS: &[&str] = &["-o", "--out", "--metrics", "--metrics-out"];
-    let mut files: Vec<String> = Vec::new();
-    let mut out = None;
-    let mut metrics_format = None;
-    let mut metrics_out = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-o" | "--out" => {
-                out = Some(it.next().ok_or("-o needs a path")?.clone());
-            }
-            "--metrics" => {
-                metrics_format = Some(it.next().ok_or("--metrics needs text or json")?.clone());
-            }
-            "--metrics-out" => {
-                metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?.clone());
-            }
-            flag if flag.starts_with('-') => {
-                return Err(unknown_flag("profile merge", flag, FLAGS))
-            }
-            path => files.push(path.to_owned()),
-        }
-    }
-    let mopt = MetricsOpt::validate(metrics_format, metrics_out)?;
-    let metrics = mopt.enabled().then(Metrics::new);
+fn profile_merge_cmd(p: Parsed) -> Result<(), CliError> {
+    let metrics = p.metrics.enabled().then(Metrics::new);
     let m = metrics.as_ref();
-    if files.is_empty() {
-        return Err("profile merge needs at least one .alcp artifact".into());
-    }
-    let out_path = out.ok_or("profile merge needs -o|--out FILE.alcp")?;
+    let files = p.operands();
+    let out_path = p
+        .text(OUT)
+        .ok_or("profile merge needs -o|--out FILE.alcp")?;
     // Corrupt or unreadable inputs are skipped with a warning, so one
     // bit-rotted artifact cannot sink a fleet-wide merge; zero survivors
     // is an error — never an empty output artifact at the requested path.
     let mut merged: Option<ProfileArtifact> = None;
     let mut survivors = 0usize;
-    for f in &files {
+    for f in files {
         let artifact = match load_artifact(f, m) {
             Ok(a) => a,
             Err(e) => {
@@ -861,7 +577,7 @@ fn profile_merge_cmd(args: &[String]) -> Result<(), CliError> {
             files.len()
         )));
     };
-    let n = write_artifact(&merged, &out_path, m)?;
+    let n = write_artifact(&merged, out_path, m)?;
     println!(
         "merged {survivors} artifact(s) into {out_path} ({n} bytes, {} constructs, \
          {} recorded instructions)",
@@ -876,74 +592,23 @@ fn profile_merge_cmd(args: &[String]) -> Result<(), CliError> {
         );
     }
     if let Some(metrics) = &metrics {
-        mopt.emit(metrics, "profile merge")?;
+        p.metrics.emit(metrics, "profile merge")?;
     }
     Ok(())
 }
 
 /// `profile query`: run the offline analyses over a saved artifact —
 /// no re-execution, no trace, just the `.alcp` file.
-fn profile_query_cmd(args: &[String]) -> Result<(), CliError> {
-    const FLAGS: &[&str] = &[
-        "--analysis",
-        "--construct",
-        "--top",
-        "--threads",
-        "--metrics",
-        "--metrics-out",
-    ];
-    let mut file = None;
-    let mut analysis = "profile".to_owned();
-    let mut construct: Option<String> = None;
-    let mut top = 10;
-    let mut threads = 4;
-    let mut metrics_format = None;
-    let mut metrics_out = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--analysis" => {
-                analysis = it.next().ok_or("--analysis needs a value")?.clone();
-            }
-            "--construct" => {
-                construct = Some(it.next().ok_or("--construct needs a pc or label")?.clone());
-            }
-            "--top" => {
-                top = it
-                    .next()
-                    .ok_or("--top needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--top: {e}"))?;
-            }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--metrics" => {
-                metrics_format = Some(it.next().ok_or("--metrics needs text or json")?.clone());
-            }
-            "--metrics-out" => {
-                metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?.clone());
-            }
-            flag if flag.starts_with('-') => {
-                return Err(unknown_flag("profile query", flag, FLAGS))
-            }
-            path if file.is_none() => file = Some(path.to_owned()),
-            other => return Err(format!("unexpected argument `{other}`").into()),
-        }
-    }
-    let mopt = MetricsOpt::validate(metrics_format, metrics_out)?;
-    let metrics = mopt.enabled().then(Metrics::new);
+fn profile_query_cmd(p: Parsed) -> Result<(), CliError> {
+    let metrics = p.metrics.enabled().then(Metrics::new);
     let m = metrics.as_ref();
-    let path = file.ok_or("profile query needs a .alcp artifact")?;
-    let analyses = parse_analyses(&analysis)?;
+    let path = p.operand();
+    let analyses = parse_analyses(p.text(ANALYSIS).unwrap_or("profile"))?;
+    let construct = p.text(CONSTRUCT);
     if construct.is_some() && !analyses.iter().any(|a| a == "profile") {
         return Err(CliError::bare("--construct requires the profile analysis"));
     }
-    let artifact = load_artifact(&path, m)?;
+    let artifact = load_artifact(path, m)?;
     let need_module = analyses.iter().any(|a| a == "profile" || a == "advise");
     let module = if need_module {
         let src = artifact.source.as_deref().ok_or_else(|| {
@@ -973,8 +638,8 @@ fn profile_query_cmd(args: &[String]) -> Result<(), CliError> {
                 );
                 println!();
                 let report = ProfileReport::new(&artifact.profile, md);
-                render_profile_report(&report, top, None)?;
-                if let Some(sel) = &construct {
+                render_profile_report(&report, p.number(TOP).unwrap_or(10), None)?;
+                if let Some(sel) = construct {
                     let (label, head) = if let Ok(pc) = sel.parse::<u32>() {
                         let c = artifact
                             .profile
@@ -991,51 +656,15 @@ fn profile_query_cmd(args: &[String]) -> Result<(), CliError> {
                     print!("{}", report.render_war_waw(head));
                 }
             }
-            "advise" => {
-                let md = module.as_ref().expect("compiled above");
-                let report = ProfileReport::new(&artifact.profile, md);
-                let candidates = suggest_candidates(&report, md, 0.02, 0);
-                if candidates.is_empty() {
-                    println!("no construct qualifies for asynchronous execution");
-                    println!("(every sizable construct has violating RAW dependences)");
-                    continue;
-                }
-                println!("parallelization candidates (largest first):\n");
-                for c in &candidates {
-                    println!(
-                        "  {:<30} {:>5.1}% of run, violating RAW: {}",
-                        c.label,
-                        c.norm_size * 100.0,
-                        c.violating_raw
-                    );
-                    if !c.privatize.is_empty() {
-                        println!("      privatize: {}", c.privatize.join(", "));
-                    }
-                }
-                match &artifact.tasks {
-                    Some(tasks) => {
-                        let sim = simulate(tasks, &SimConfig::with_threads(threads));
-                        println!(
-                            "\nsimulating `{}` (embedded task summary) on {} threads: \
-                             {:.2}x speedup ({} tasks, {} joins)",
-                            candidates[0].label, threads, sim.speedup, sim.tasks, sim.main_joins
-                        );
-                        if tasks.cross_thread_sharing > 0 {
-                            println!(
-                                "cross-thread: {} dependences already run on separate program \
-                                 threads (excluded from serialization cost)",
-                                tasks.cross_thread_sharing
-                            );
-                        }
-                    }
-                    None => println!(
-                        "\n(no embedded task summary: merged artifacts drop schedules; \
-                         re-run `profile save` on a single run or a trace to simulate offline)"
-                    ),
-                }
-            }
+            "advise" => render_advise(
+                &artifact.profile,
+                module.as_ref().expect("compiled above"),
+                p.number(THREADS).unwrap_or(4),
+                "(embedded task summary)",
+                |_| Ok(artifact.tasks.clone()),
+            )?,
             "stats" => {
-                let file_bytes = std::fs::metadata(&path)
+                let file_bytes = std::fs::metadata(path)
                     .map_err(|e| CliError::io(format!("cannot stat {path}: {e}")))?
                     .len();
                 println!("profile artifact {path}: format v{ALCP_VERSION}, {file_bytes} bytes");
@@ -1071,45 +700,35 @@ fn profile_query_cmd(args: &[String]) -> Result<(), CliError> {
         }
     }
     if let Some(metrics) = &metrics {
-        mopt.emit(metrics, "profile query")?;
+        p.metrics.emit(metrics, "profile query")?;
     }
     Ok(())
 }
 
-fn run_cmd(args: &[String]) -> Result<(), CliError> {
-    let a = parse_common(
-        "run",
-        args,
-        &[
-            "--input",
-            "--scale",
-            "--batch-size",
-            "--profile-out",
-            "--metrics",
-            "--metrics-out",
-        ],
-    )?;
-    let metrics = a.metrics.enabled().then(Metrics::new);
+fn run_cmd(p: Parsed) -> Result<(), CliError> {
+    let (source, input) = resolve_program(p.operand(), p.scale(), p.input())?;
+    let profile_out = p.text(PROFILE_OUT);
+    let metrics = p.metrics.enabled().then(Metrics::new);
     let m = metrics.as_ref();
     let (out, profile) = {
         let _total_span = span_opt(m, Stage::Total);
         let module = {
             let _parse_span = span_opt(m, Stage::Parse);
-            alchemist_vm::compile_source(&a.source).map_err(|e| CliError::runtime(e.to_string()))?
+            alchemist_vm::compile_source(&source).map_err(|e| CliError::runtime(e.to_string()))?
         };
         // `run` observes nothing (NullSink), so batching is opt-in here: the
         // default stays the zero-overhead per-event baseline. With
         // --profile-out the profiler rides the run instead.
         let exec_config = ExecConfig {
-            batch_events: a.batch_size.unwrap_or(0),
-            ..ExecConfig::with_input(a.input)
+            batch_events: p.number(BATCH_SIZE).unwrap_or(0),
+            ..ExecConfig::with_input(input)
         };
-        if a.profile_out.is_some() {
+        if profile_out.is_some() {
             let mut prof = AlchemistProfiler::new(&module, ProfileConfig::default());
             let out = run_with_metrics(&module, &exec_config, &mut prof, m)
                 .map_err(|e| CliError::runtime(e.to_string()))?;
-            let p = prof.into_profile(out.steps);
-            (out, Some(p))
+            let profile = prof.into_profile(out.steps);
+            (out, Some(profile))
         } else {
             let out = run_with_metrics(&module, &exec_config, &mut NullSink, m)
                 .map_err(|e| CliError::runtime(e.to_string()))?;
@@ -1123,83 +742,52 @@ fn run_cmd(args: &[String]) -> Result<(), CliError> {
         "exit value: {} ({} instructions)",
         out.exit_value, out.steps
     );
-    if let (Some(path), Some(p)) = (&a.profile_out, profile) {
-        let artifact = ProfileArtifact::new(p).with_source(&*a.source);
+    if let (Some(path), Some(profile)) = (profile_out, profile) {
+        let artifact = ProfileArtifact::new(profile).with_source(&*source);
         write_artifact(&artifact, path, m)?;
         eprintln!("wrote profile artifact to {path}");
     }
     if let Some(metrics) = &metrics {
-        a.metrics.emit(metrics, "run")?;
+        p.metrics.emit(metrics, "run")?;
     }
     Ok(())
 }
 
-fn advise_cmd(args: &[String]) -> Result<(), CliError> {
-    let a = parse_common("advise", args, &["--input", "--threads"])?;
+fn advise_cmd(p: Parsed) -> Result<(), CliError> {
+    let (source, input) = resolve_program(p.operand(), p.scale(), p.input())?;
     let outcome =
-        profile_source(&a.source, a.input.clone()).map_err(|e| CliError::runtime(e.to_string()))?;
-    let report: ProfileReport = outcome.report();
-    let candidates = suggest_candidates(&report, &outcome.module, 0.02, 0);
-    if candidates.is_empty() {
-        println!("no construct qualifies for asynchronous execution");
-        println!("(every sizable construct has violating RAW dependences)");
-        return Ok(());
-    }
-    println!("parallelization candidates (largest first):\n");
-    for c in &candidates {
-        println!(
-            "  {:<30} {:>5.1}% of run, violating RAW: {}",
-            c.label,
-            c.norm_size * 100.0,
-            c.violating_raw
-        );
-        if !c.privatize.is_empty() {
-            println!("      privatize: {}", c.privatize.join(", "));
-        }
-    }
-    // Simulate the top candidate.
-    let best = &candidates[0];
-    let trace = extract_tasks(
+        profile_source(&source, input.clone()).map_err(|e| CliError::runtime(e.to_string()))?;
+    render_advise(
+        &outcome.profile,
         &outcome.module,
-        &ExecConfig::with_input(a.input),
-        best.extract_config(),
+        p.number(THREADS).unwrap_or(4),
+        "as a future",
+        |best| {
+            extract_tasks(
+                &outcome.module,
+                &ExecConfig::with_input(input),
+                best.extract_config(),
+            )
+            .map(Some)
+            .map_err(|e| CliError::runtime(e.to_string()))
+        },
     )
-    .map_err(|e| CliError::runtime(e.to_string()))?;
-    let sim = simulate(&trace, &SimConfig::with_threads(a.threads));
-    println!(
-        "\nsimulating `{}` as a future on {} threads: {:.2}x speedup \
-         ({} tasks, {} joins)",
-        best.label, a.threads, sim.speedup, sim.tasks, sim.main_joins
-    );
-    if trace.cross_thread_sharing > 0 {
-        println!(
-            "cross-thread: {} dependences already run on separate program \
-             threads (excluded from serialization cost)",
-            trace.cross_thread_sharing
-        );
-    }
-    Ok(())
 }
 
-fn simulate_cmd(args: &[String]) -> Result<(), CliError> {
-    let a = parse_common(
-        "simulate",
-        args,
-        &[
-            "--input",
-            "--mark",
-            "--privatize",
-            "--threads",
-            "--timeline",
-        ],
-    )?;
-    if a.mark.is_empty() {
+fn simulate_cmd(p: Parsed) -> Result<(), CliError> {
+    let (source, input) = resolve_program(p.operand(), p.scale(), p.input())?;
+    let (mark, privatize, threads) = (
+        p.list(MARK),
+        p.list(PRIVATIZE),
+        p.number(THREADS).unwrap_or(4),
+    );
+    if mark.is_empty() {
         return Err("simulate requires at least one --mark FUNC".into());
     }
     let module =
-        alchemist_vm::compile_source(&a.source).map_err(|e| CliError::runtime(e.to_string()))?;
+        alchemist_vm::compile_source(&source).map_err(|e| CliError::runtime(e.to_string()))?;
     let mut cfg = ExtractConfig::default();
-    for name in &a.mark {
+    for name in mark {
         let head = module
             .func_by_name(name)
             .ok_or_else(|| format!("no function `{name}` to mark"))?
@@ -1207,23 +795,23 @@ fn simulate_cmd(args: &[String]) -> Result<(), CliError> {
             .entry;
         cfg = cfg.mark(head);
     }
-    for v in &a.privatize {
+    for v in privatize {
         if module.global_by_name(v).is_none() {
             return Err(format!("no global `{v}` to privatize").into());
         }
         cfg = cfg.privatize(v);
     }
-    let trace = extract_tasks(&module, &ExecConfig::with_input(a.input), cfg)
+    let trace = extract_tasks(&module, &ExecConfig::with_input(input), cfg)
         .map_err(|e| CliError::runtime(e.to_string()))?;
-    let sim_cfg = SimConfig::with_threads(a.threads);
-    if a.timeline {
+    let sim_cfg = SimConfig::with_threads(threads);
+    if p.switch(TIMELINE) {
         print!("{}", render_timeline(&trace, &sim_cfg, 72));
     } else {
         let sim = simulate(&trace, &sim_cfg);
         println!(
             "marked [{}] privatized [{}]",
-            a.mark.join(", "),
-            a.privatize.join(", ")
+            mark.join(", "),
+            privatize.join(", ")
         );
         println!(
             "{} tasks, serial fraction {:.1}%",
@@ -1232,7 +820,7 @@ fn simulate_cmd(args: &[String]) -> Result<(), CliError> {
         );
         println!(
             "sequential {} -> parallel {} instructions on {} threads: {:.2}x",
-            sim.t_seq, sim.t_par, a.threads, sim.speedup
+            sim.t_seq, sim.t_par, threads, sim.speedup
         );
     }
     Ok(())
@@ -1262,87 +850,30 @@ fn install_sigint_handler() {
 #[cfg(not(unix))]
 fn install_sigint_handler() {}
 
-fn record_cmd(args: &[String]) -> Result<(), CliError> {
-    const FLAGS: &[&str] = &[
-        "--input",
-        "--scale",
-        "-o",
-        "--out",
-        "--chunk-events",
-        "--batch-size",
-        "--crc",
-        "--profile-out",
-        "--metrics",
-        "--metrics-out",
-    ];
-    let mut file = None;
-    let mut out = None;
-    let mut input = Vec::new();
-    let mut scale = None;
-    let mut chunk_events = None;
-    let mut batch_size = None;
-    let mut crc = false;
-    let mut profile_out: Option<String> = None;
-    let mut metrics_format = None;
-    let mut metrics_out = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--input" => {
-                input = parse_input_list(it.next().ok_or("--input needs a value")?)?;
-            }
-            "--scale" => {
-                scale = Some(parse_scale(it.next())?);
-            }
-            "-o" | "--out" => {
-                out = Some(it.next().ok_or("-o needs a path")?.clone());
-            }
-            "--profile-out" => {
-                profile_out = Some(it.next().ok_or("--profile-out needs a path")?.clone());
-            }
-            "--chunk-events" => {
-                chunk_events = Some(
-                    it.next()
-                        .ok_or("--chunk-events needs a value")?
-                        .parse::<usize>()
-                        .map_err(|e| format!("--chunk-events: {e}"))?,
-                );
-            }
-            "--batch-size" => {
-                batch_size = Some(parse_ge1("--batch-size", it.next())?);
-            }
-            "--crc" => crc = true,
-            "--metrics" => {
-                metrics_format = Some(it.next().ok_or("--metrics needs text or json")?.clone());
-            }
-            "--metrics-out" => {
-                metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?.clone());
-            }
-            flag if flag.starts_with('-') => return Err(unknown_flag("record", flag, FLAGS)),
-            path if file.is_none() => file = Some(path.to_owned()),
-            other => return Err(format!("unexpected argument `{other}`").into()),
-        }
-    }
-    let mopt = MetricsOpt::validate(metrics_format, metrics_out)?;
-    let metrics = mopt.enabled().then(|| Arc::new(Metrics::new()));
+fn record_cmd(p: Parsed) -> Result<(), CliError> {
+    let metrics = p.metrics.enabled().then(|| Arc::new(Metrics::new()));
     let total_span = span_opt(metrics.as_deref(), Stage::Total);
-    let path = file.ok_or("record needs a source file")?;
-    let (source, input) = resolve_program(&path, scale, input)?;
+    let path = p.operand();
+    let (source, input) = resolve_program(path, p.scale(), p.input())?;
     let module = {
         let _parse_span = span_opt(metrics.as_deref(), Stage::Parse);
         alchemist_vm::compile_source(&source).map_err(|e| CliError::runtime(e.to_string()))?
     };
-    let out_path = out.unwrap_or_else(|| {
-        if std::path::Path::new(&path).exists() {
-            let mut p = std::path::PathBuf::from(&path);
-            p.set_extension("alct");
-            p.display().to_string()
-        } else {
-            // A workload name ("gzip-1.3.5") is not a path; appending keeps
-            // the dots in the name intact instead of truncating at the last.
-            format!("{path}.alct")
-        }
-    });
+    let out_path = p.text(OUT).map_or_else(
+        || {
+            if std::path::Path::new(path).exists() {
+                let mut out = std::path::PathBuf::from(path);
+                out.set_extension("alct");
+                out.display().to_string()
+            } else {
+                // A workload name ("gzip-1.3.5") is not a path; appending
+                // keeps the dots in the name intact instead of truncating at
+                // the last.
+                format!("{path}.alct")
+            }
+        },
+        str::to_owned,
+    );
     // The trace builds in a temp file and only renames over `out_path` when
     // finalized, so a crash or trap never leaves a footer-less file under
     // the requested name — dropping an uncommitted AtomicFile cleans up.
@@ -1353,18 +884,9 @@ fn record_cmd(args: &[String]) -> Result<(), CliError> {
     // writes the final chunk + footer before exiting 130.
     install_sigint_handler();
     alchemist_vm::clear_interrupt();
-    // --crc asks for v3 (per-chunk CRC-32 for salvage replay); otherwise
-    // threaded programs need the v2 tid column and single-threaded programs
-    // keep emitting byte-identical v1 traces.
-    let mut writer = if crc {
-        TraceWriter::new_v3(BufWriter::new(f), Some(&source))
-    } else if module.uses_threads() {
-        TraceWriter::new_v2(BufWriter::new(f), Some(&source))
-    } else {
-        TraceWriter::new(BufWriter::new(f), Some(&source))
-    }
-    .map_err(|e| CliError::io(format!("cannot write {out_path}: {e}")))?;
-    if let Some(n) = chunk_events {
+    let mut writer = trace_writer(BufWriter::new(f), Some(&source), &module, p.switch(CRC))
+        .map_err(|e| CliError::io(format!("cannot write {out_path}: {e}")))?;
+    if let Some(n) = p.number(CHUNK_EVENTS) {
         writer = writer.with_chunk_capacity(n);
     }
     if let Some(m) = &metrics {
@@ -1375,17 +897,18 @@ fn record_cmd(args: &[String]) -> Result<(), CliError> {
     // default per-event recording (the writer is statically
     // dispatched, so batching is opt-in rather than a default win).
     let exec_config = ExecConfig {
-        batch_events: batch_size.unwrap_or(0),
+        batch_events: p.number(BATCH_SIZE).unwrap_or(0),
         ..ExecConfig::with_input(input)
     };
     // With --profile-out the profiler rides the same run through a
     // sink fan-out: one execution yields both artifacts.
+    let profile_out = p.text(PROFILE_OUT);
     let mut prof = profile_out
         .is_some()
         .then(|| AlchemistProfiler::new(&module, ProfileConfig::default()));
-    let run_result = if let Some(p) = prof.as_mut() {
+    let run_result = if let Some(prof) = prof.as_mut() {
         let mut fan = MultiSink::new();
-        fan.push(&mut writer).push(p);
+        fan.push(&mut writer).push(prof);
         run_with_metrics(&module, &exec_config, &mut fan, metrics.as_deref())
     } else {
         run_with_metrics(&module, &exec_config, &mut writer, metrics.as_deref())
@@ -1424,10 +947,10 @@ fn record_cmd(args: &[String]) -> Result<(), CliError> {
         Err(trap) => return Err(CliError::runtime(trap.to_string())),
     };
     let stats = finalize(writer, outcome.steps)?;
-    let profile = prof.map(|p| p.into_profile(outcome.steps));
+    let profile = prof.map(|prof| prof.into_profile(outcome.steps));
     drop(total_span);
-    if let (Some(path), Some(p)) = (&profile_out, profile) {
-        let artifact = ProfileArtifact::new(p).with_source(&*source);
+    if let (Some(path), Some(profile)) = (profile_out, profile) {
+        let artifact = ProfileArtifact::new(profile).with_source(&*source);
         write_artifact(&artifact, path, metrics.as_deref())?;
         eprintln!("wrote profile artifact to {path}");
     }
@@ -1443,116 +966,44 @@ fn record_cmd(args: &[String]) -> Result<(), CliError> {
         outcome.exit_value
     );
     if let Some(m) = &metrics {
-        mopt.emit(m, "record")?;
+        p.metrics.emit(m, "record")?;
     }
     Ok(())
 }
 
-fn replay_cmd(args: &[String]) -> Result<(), CliError> {
-    const FLAGS: &[&str] = &[
-        "--analysis",
-        "--top",
-        "--threads",
-        "--jobs",
-        "--batch-size",
-        "--scale",
-        "--war-waw",
-        "--profile-out",
-        "--recover",
-        "--metrics",
-        "--metrics-out",
-    ];
-    let mut file = None;
-    let mut analysis = "profile".to_owned();
-    let mut top = 10;
-    let mut threads = 4;
-    let mut jobs = 1usize;
-    let mut batch_size = None;
-    let mut scale = None;
-    let mut war_waw = None;
-    let mut profile_out = None;
-    let mut recover = false;
-    let mut metrics_format = None;
-    let mut metrics_out = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--analysis" => {
-                analysis = it.next().ok_or("--analysis needs a value")?.clone();
-            }
-            "--profile-out" => {
-                profile_out = Some(it.next().ok_or("--profile-out needs a path")?.clone());
-            }
-            "--metrics" => {
-                metrics_format = Some(it.next().ok_or("--metrics needs text or json")?.clone());
-            }
-            "--metrics-out" => {
-                metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?.clone());
-            }
-            "--top" => {
-                top = it
-                    .next()
-                    .ok_or("--top needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--top: {e}"))?;
-            }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--jobs" => {
-                jobs = parse_ge1("--jobs", it.next())?;
-            }
-            "--batch-size" => {
-                batch_size = Some(parse_ge1("--batch-size", it.next())?);
-            }
-            "--scale" => {
-                scale = Some(parse_scale(it.next())?);
-            }
-            "--war-waw" => {
-                war_waw = Some(it.next().ok_or("--war-waw needs a label")?.clone());
-            }
-            "--recover" => recover = true,
-            flag if flag.starts_with('-') => return Err(unknown_flag("replay", flag, FLAGS)),
-            path if file.is_none() => file = Some(path.to_owned()),
-            other => return Err(format!("unexpected argument `{other}`").into()),
-        }
-    }
-    let path = file.ok_or("replay needs a trace file")?;
+fn replay_cmd(p: Parsed) -> Result<(), CliError> {
+    let path = p.operand();
     // `--analysis` accepts a comma-separated list; one decode pass serves
     // every requested analysis.
-    let analyses = parse_analyses(&analysis)?;
+    let analyses = parse_analyses(p.text(ANALYSIS).unwrap_or("profile"))?;
     // The positional may also name a bundled workload: record it to a
     // temporary trace at the requested scale, replay that, clean up. This
     // is what lets the perf suite drive tens-of-millions-of-events replays
     // without shipping giant .alct files around.
     let mut temp_trace = None;
-    let trace_path = if std::path::Path::new(&path).exists() {
-        if scale.is_some() {
+    let trace_path = if std::path::Path::new(path).exists() {
+        if p.scale().is_some() {
             return Err(CliError::bare(format!(
                 "--scale only applies to bundled workload names; `{path}` is a trace file"
             )));
         }
-        path.clone()
-    } else if let Some(w) = alchemist_workloads::by_name(&path) {
-        let sc = scale.unwrap_or(Scale::Tiny);
-        let p = record_workload_trace(w, sc)?;
+        path.to_owned()
+    } else if let Some(w) = alchemist_workloads::by_name(path) {
+        let sc = p.scale().unwrap_or(Scale::Tiny);
+        let temp = record_workload_trace(w, sc)?;
         eprintln!(
             "recorded bundled workload `{}` at --scale {} to {}",
             w.name,
             sc.name(),
-            p.display()
+            temp.display()
         );
-        let s = p.display().to_string();
-        temp_trace = Some(p);
+        let s = temp.display().to_string();
+        temp_trace = Some(temp);
         s
     } else {
         // Name the OS cause so "typo'd path" and "permission denied" read
         // differently; no usage block — the invocation itself was fine.
-        let cause = std::fs::metadata(&path)
+        let cause = std::fs::metadata(path)
             .err()
             .map_or_else(|| "not a readable file".to_owned(), |e| e.to_string());
         return Err(CliError::io(format!(
@@ -1560,20 +1011,9 @@ fn replay_cmd(args: &[String]) -> Result<(), CliError> {
              (see `alchemist workloads`)"
         )));
     };
-    let result = run_replay(
-        &trace_path,
-        &analyses,
-        top,
-        threads,
-        jobs,
-        batch_size,
-        war_waw.as_deref(),
-        profile_out.as_deref(),
-        recover,
-        &MetricsOpt::validate(metrics_format, metrics_out)?,
-    );
-    if let Some(p) = temp_trace {
-        let _ = std::fs::remove_file(p);
+    let result = run_replay(&trace_path, &analyses, &p);
+    if let Some(temp) = temp_trace {
+        let _ = std::fs::remove_file(temp);
     }
     result
 }
@@ -1596,12 +1036,8 @@ fn record_workload_trace(
     let f = AtomicFile::create(&path)
         .map_err(|e| CliError::io(format!("cannot create {}: {e}", path.display())))?;
     let wr_err = |e: TraceError| CliError::io(format!("cannot write {}: {e}", path.display()));
-    let mut writer = if module.uses_threads() {
-        TraceWriter::new_v2(BufWriter::new(f), Some(w.source))
-    } else {
-        TraceWriter::new(BufWriter::new(f), Some(w.source))
-    }
-    .map_err(wr_err)?;
+    let mut writer =
+        trace_writer(BufWriter::new(f), Some(w.source), &module, false).map_err(wr_err)?;
     let out = alchemist_vm::run(&module, &w.exec_config(scale), &mut writer)
         .map_err(|e| CliError::runtime(e.to_string()))?;
     let (bufw, _) = writer.finish(out.steps).map_err(wr_err)?;
@@ -1610,6 +1046,25 @@ fn record_workload_trace(
         .commit()
         .map_err(|e| CliError::io(format!("cannot write {}: {e}", path.display())))?;
     Ok(path)
+}
+
+/// Opens a trace writer in the format a recording of `module` needs: v3
+/// (per-chunk CRC-32, for salvage replay) when `crc` asks for it, else v2
+/// (the tid column) for a threaded program, else v1 — byte-identical to
+/// every earlier single-threaded recording.
+fn trace_writer<W: Write>(
+    out: W,
+    source: Option<&str>,
+    module: &alchemist_vm::Module,
+    crc: bool,
+) -> Result<TraceWriter<W>, TraceError> {
+    if crc {
+        TraceWriter::new_v3(out, source)
+    } else if module.uses_threads() {
+        TraceWriter::new_v2(out, source)
+    } else {
+        TraceWriter::new(out, source)
+    }
 }
 
 fn open_trace(path: &str) -> Result<TraceReader<BufReader<std::fs::File>>, CliError> {
@@ -1632,23 +1087,15 @@ fn trace_module(
 /// Runs the requested analyses over one trace with **one decode pass**.
 ///
 /// The decoded batch stream fans out through a [`MultiSink`]: with
-/// `jobs <= 1` and no advise request the batches stream straight from the
+/// `--jobs 1` and no advise request the batches stream straight from the
 /// reader into every sink; otherwise the batches are materialized once
-/// (chunk-parallel when `jobs > 1`) and shared by the sharded profiler,
+/// (chunk-parallel with `--jobs N`) and shared by the sharded profiler,
 /// the stats sinks and task extraction.
-#[allow(clippy::too_many_arguments)]
-fn run_replay(
-    path: &str,
-    analyses: &[String],
-    top: usize,
-    threads: usize,
-    jobs: usize,
-    batch_size: Option<usize>,
-    war_waw: Option<&str>,
-    profile_out: Option<&str>,
-    recover: bool,
-    mopt: &MetricsOpt,
-) -> Result<(), CliError> {
+fn run_replay(path: &str, analyses: &[String], p: &Parsed) -> Result<(), CliError> {
+    let jobs = p.number(JOBS).unwrap_or(1);
+    let batch_size = p.number(BATCH_SIZE);
+    let profile_out = p.text(PROFILE_OUT);
+    let recover = p.switch(RECOVER);
     let want = |name: &str| analyses.iter().any(|a| a == name);
     let need_advise = want("advise");
     // --profile-out needs the profile computed even when no analysis
@@ -1827,16 +1274,16 @@ fn run_replay(
         }
         match analysis.as_str() {
             "profile" => {
-                let p = profile.as_ref().expect("profiled above");
+                let profile = profile.as_ref().expect("profiled above");
                 let md = module.as_ref().expect("profile requires a module");
                 println!(
                     "replayed {} events ({} recorded instructions), {} static constructs",
                     summary.events,
                     summary.total_steps,
-                    p.len()
+                    profile.len()
                 );
                 println!();
-                let mut report = ProfileReport::new(p, md);
+                let mut report = ProfileReport::new(profile, md);
                 if let Some(c) = &shard_counts {
                     report = report.with_shard_events(c.clone());
                 }
@@ -1845,13 +1292,28 @@ fn run_replay(
                 if let Some(rep) = recovery.as_ref().filter(|r| !r.is_clean()) {
                     report = report.with_note(salvage_note(rep));
                 }
-                render_profile_report(&report, top, war_waw)?;
+                render_profile_report(&report, p.number(TOP).unwrap_or(10), p.text(WAR_WAW))?;
             }
             "advise" => {
-                let p = profile.as_ref().expect("profiled above");
                 let md = module.as_ref().expect("advise requires a module");
                 let (batches, spec) = advise_input.as_ref().expect("advise keeps the batches");
-                render_advise(md, p, batches, *spec, summary.total_steps, threads, m)?;
+                // Simulate the top candidate from the same recorded batches:
+                // no re-execution anywhere in this pipeline.
+                let extract = |best: &Candidate| {
+                    extract_tasks_from_batches_par(
+                        md,
+                        best.extract_config(),
+                        batches,
+                        summary.total_steps,
+                        *spec,
+                        m,
+                    )
+                    .map(Some)
+                    .map_err(CliError::from)
+                };
+                let profile = profile.as_ref().expect("profiled above");
+                let threads = p.number(THREADS).unwrap_or(4);
+                render_advise(profile, md, threads, "as a future", extract)?;
             }
             "stats" => {
                 let (version, infos, source_lines) = stats_scan.as_ref().expect("scanned above");
@@ -1883,21 +1345,21 @@ fn run_replay(
         // across job counts for the parity tests.
         eprintln!("wrote profile artifact to {out_path}");
     }
-    mopt.emit(&metrics, "replay")?;
+    p.metrics.emit(&metrics, "replay")?;
     Ok(())
 }
 
-/// Prints parallelization candidates and simulates the best one from the
-/// already-decoded batch stream, sharded under the profiler's `spec`: no
-/// re-execution, no re-decode.
+/// Prints the parallelization candidates in `profile` and simulates the
+/// best one on `threads` threads. `tasks` supplies that candidate's task
+/// trace — live extraction, sharded extraction from recorded batches, or
+/// an artifact's embedded summary (`None` when it has none); `how` says
+/// which in the simulation line.
 fn render_advise(
-    module: &alchemist_vm::Module,
     profile: &DepProfile,
-    batches: &[EventBatch],
-    spec: ShardSpec,
-    total_steps: u64,
+    module: &alchemist_vm::Module,
     threads: usize,
-    metrics: Option<&Metrics>,
+    how: &str,
+    tasks: impl FnOnce(&Candidate) -> Result<Option<TaskTrace>, CliError>,
 ) -> Result<(), CliError> {
     let report = ProfileReport::new(profile, module);
     let candidates = suggest_candidates(&report, module, 0.02, 0);
@@ -1918,21 +1380,17 @@ fn render_advise(
             println!("      privatize: {}", c.privatize.join(", "));
         }
     }
-    // Simulate the top candidate from the same recorded batches: no
-    // re-execution anywhere in this pipeline.
     let best = &candidates[0];
-    let trace = extract_tasks_from_batches_par(
-        module,
-        best.extract_config(),
-        batches,
-        total_steps,
-        spec,
-        metrics,
-    )?;
+    let Some(trace) = tasks(best)? else {
+        println!(
+            "\n(no embedded task summary: merged artifacts drop schedules; \
+             re-run `profile save` on a single run or a trace to simulate offline)"
+        );
+        return Ok(());
+    };
     let sim = simulate(&trace, &SimConfig::with_threads(threads));
     println!(
-        "\nsimulating `{}` as a future on {} threads: {:.2}x speedup \
-         ({} tasks, {} joins)",
+        "\nsimulating `{}` {how} on {} threads: {:.2}x speedup ({} tasks, {} joins)",
         best.label, threads, sim.speedup, sim.tasks, sim.main_joins
     );
     if trace.cross_thread_sharing > 0 {
@@ -2156,21 +1614,9 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-fn workloads_cmd(args: &[String]) -> Result<(), CliError> {
-    const FLAGS: &[&str] = &["--json", "--scale"];
-    let mut json = false;
-    let mut scale = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--scale" => scale = Some(parse_scale(it.next())?),
-            flag if flag.starts_with('-') => return Err(unknown_flag("workloads", flag, FLAGS)),
-            other => return Err(format!("unexpected argument `{other}`").into()),
-        }
-    }
-    let scale = scale.unwrap_or(Scale::Tiny);
-    if json {
+fn workloads_cmd(p: Parsed) -> Result<(), CliError> {
+    let scale = p.scale().unwrap_or(Scale::Tiny);
+    if p.switch(JSON) {
         println!("[");
         let suite = alchemist_workloads::all();
         for (i, w) in suite.iter().enumerate() {
@@ -2188,12 +1634,8 @@ fn workloads_cmd(args: &[String]) -> Result<(), CliError> {
             let module = w.module();
             let mut counts = CountingSink::default();
             let mut prof = AlchemistProfiler::new(&module, ProfileConfig::default());
-            let mut writer = if module.uses_threads() {
-                TraceWriter::new_v2(Vec::new(), None)
-            } else {
-                TraceWriter::new(Vec::new(), None)
-            }
-            .map_err(|e| CliError::bare(format!("workload {}: {e}", w.name)))?;
+            let mut writer = trace_writer(Vec::new(), None, &module, false)
+                .map_err(|e| CliError::bare(format!("workload {}: {e}", w.name)))?;
             let out = {
                 let mut fan = MultiSink::new();
                 fan.push(&mut counts).push(&mut writer).push(&mut prof);

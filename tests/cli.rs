@@ -1150,3 +1150,92 @@ fn workloads_json_reports_profile_bytes() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"profile_bytes\":"), "{stdout}");
 }
+
+/// Every count flag (`--jobs`, `--batch-size`, `--threads`,
+/// `--chunk-events`) of every command the usage text lists it under
+/// rejects 0 with the usage exit code and a named-flag error — never a
+/// panic, never a silent clamp. Each invocation is otherwise one that runs
+/// through to the flag's consumer (the simulator, the trace writer...).
+#[test]
+fn every_count_flag_rejects_zero_on_every_command() {
+    const COUNT_FLAGS: [&str; 4] = ["--jobs", "--batch-size", "--threads", "--chunk-events"];
+    let usage = String::from_utf8_lossy(&bin().output().expect("spawns").stderr).into_owned();
+    let mut pairs: Vec<(String, &str)> = Vec::new();
+    let mut cmd = String::new();
+    for line in usage
+        .lines()
+        .skip_while(|l| !l.starts_with("usage:"))
+        .skip(1)
+    {
+        if line.is_empty() {
+            break;
+        }
+        if let Some(rest) = line.trim_start().strip_prefix("alchemist ") {
+            let words: Vec<&str> = rest
+                .split_whitespace()
+                .take_while(|w| !w.starts_with('<') && !w.starts_with('['))
+                .collect();
+            cmd = words.join(" ");
+        }
+        for token in line.split(|c: char| c.is_whitespace() || "[]|".contains(c)) {
+            if let Some(flag) = COUNT_FLAGS.iter().find(|f| **f == token) {
+                pairs.push((cmd.clone(), flag));
+            }
+        }
+    }
+    for flag in COUNT_FLAGS {
+        assert!(
+            pairs.iter().any(|(_, f)| *f == flag),
+            "{flag} missing from usage: {usage}"
+        );
+    }
+
+    let trace = temp_trace_path("countflags");
+    let artifact = trace.with_extension("alcp");
+    let scratch = trace.with_extension("out");
+    let setup = [
+        vec!["record", "bzip2", "-o", trace.to_str().expect("utf8")],
+        vec![
+            "profile",
+            "save",
+            trace.to_str().expect("utf8"),
+            "-o",
+            artifact.to_str().expect("utf8"),
+        ],
+    ];
+    for args in setup {
+        let out = bin().args(&args).output().expect("spawns");
+        assert!(out.status.success(), "{args:?}");
+    }
+    for (cmd, flag) in &pairs {
+        let context: Vec<&std::ffi::OsStr> = match cmd.as_str() {
+            "profile save" => vec![trace.as_ref(), "-o".as_ref(), scratch.as_ref()],
+            "profile query" => vec![artifact.as_ref(), "--analysis".as_ref(), "advise".as_ref()],
+            "run" | "advise" => vec!["bzip2".as_ref()],
+            "simulate" => vec![
+                "bzip2".as_ref(),
+                "--mark".as_ref(),
+                "compress_stream".as_ref(),
+            ],
+            "record" => vec!["bzip2".as_ref(), "-o".as_ref(), scratch.as_ref()],
+            "replay" => vec![trace.as_ref(), "--analysis".as_ref(), "advise".as_ref()],
+            other => panic!("no invocation for `alchemist {other}`; add one"),
+        };
+        let out = bin()
+            .args(cmd.split(' '))
+            .args(context)
+            .args([flag, "0"])
+            .output()
+            .expect("spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd} {flag} 0: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} must be >= 1")),
+            "{cmd} {flag} 0: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{cmd} {flag} 0: {stderr}");
+    }
+    for path in [trace, artifact, scratch] {
+        let _ = std::fs::remove_file(path);
+    }
+}
