@@ -73,6 +73,6 @@ pub use shadow::{ShadowStats, INLINE_READERS, PAGE_SHIFT, PAGE_WORDS};
 pub use shard::{
     merge_shard_profiles, partition_batch, profile_batches_par_spec, run_sharded_batched,
     shard_batch_counts_spec, ShardError, ShardSpec, ShardTuning, CANDIDATE_SHIFTS,
-    MAX_SHARD_IMBALANCE, SHARD_CHANNEL_DEPTH, SHARD_FLUSH_EVENTS,
+    MAX_SHARD_IMBALANCE, SHARD_FLUSH_EVENTS,
 };
 pub use stats::{constructs_to_csv, edges_to_csv, DistanceHistogram};

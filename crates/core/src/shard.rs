@@ -26,6 +26,11 @@
 //! once per stream ([`ShardSpec::for_batches`]) and pass that spec to every
 //! sharded operation; [`run_sharded_batched`] is the one fan-out.
 //!
+//! The fan-out has no hand-off between threads: every worker walks the
+//! shared, already-decoded batch slice itself and gathers the rows it owns
+//! into a reused sub-batch, so no thread waits on another until the join.
+//! The price is that every worker reads every row's tag and address.
+//!
 //! Memory note: the partition starts page-granular —
 //! `(addr >> PAGE_SHIFT) % jobs` with the page size matched to
 //! [`ShadowMemory`](crate::shadow::ShadowMemory)'s
@@ -61,7 +66,7 @@ use std::time::Instant;
 /// Workers run under [`catch_unwind`], so one shard's panic (an analysis
 /// bug, a poisoned sink) no longer aborts the whole replay: the panicking
 /// shard is reported here — with its id, how many events it had consumed
-/// and the panic payload — while the surviving shards drain their queues
+/// and the panic payload — while the surviving shards finish the stream
 /// and join cleanly. Only the *first* failing shard (lowest id) is
 /// returned; the merged result is unusable either way once any address
 /// shard is missing.
@@ -69,7 +74,7 @@ use std::time::Instant;
 pub struct ShardError {
     /// Shard id of the worker that panicked.
     pub shard: u32,
-    /// Events the worker had consumed before dying.
+    /// Events the worker had handed to its sink before dying.
     pub events: u64,
     /// The panic payload, stringified (`&str` / `String` payloads verbatim,
     /// anything else as `<non-string panic payload>`).
@@ -101,7 +106,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Joins every worker, collecting finished sinks; if any worker panicked,
 /// returns the lowest-id failure *after* all handles joined (surviving
-/// shards always drain cleanly, no thread is left detached).
+/// shards always finish cleanly, no thread is left detached).
 fn join_shards<S>(
     handles: Vec<std::thread::ScopedJoinHandle<'_, Result<S, (u64, String)>>>,
 ) -> Result<Vec<S>, ShardError> {
@@ -253,68 +258,35 @@ fn choose_shift(jobs: u32, addrs: impl Iterator<Item = u32>) -> u32 {
     best.1
 }
 
-/// Default bound on in-flight sub-batches per shard channel.
-pub const SHARD_CHANNEL_DEPTH: usize = 16;
-
-/// Default flush threshold: a per-shard sub-batch is handed off once it has
-/// accumulated at least this many rows, so per-send channel cost amortizes
-/// over thousands of events.
+/// Flush threshold: a worker hands its gathered sub-batch to its sink once
+/// the sub-batch holds at least this many rows (the stream's tail flushes
+/// whatever remains), so per-call sink overhead amortizes over thousands of
+/// rows.
 pub const SHARD_FLUSH_EVENTS: usize = 4096;
 
-/// Tunables for the batched fan-out's channel hand-off. Every production
-/// caller uses [`ShardTuning::default`]; tests set degenerate values to
-/// stress the hand-off.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardTuning {
-    /// Bounded channel capacity, in sub-batches, per shard
-    /// ([`SHARD_CHANNEL_DEPTH`] by default). Peak buffered memory is
-    /// `jobs × channel_depth × flush_events` rows.
-    pub channel_depth: usize,
-    /// Minimum rows accumulated before a sub-batch is sent
-    /// ([`SHARD_FLUSH_EVENTS`] by default; the stream's tail flushes
-    /// whatever remains).
-    pub flush_events: usize,
-}
+/// Fan-out settings: none. The fan-out has no tunables and
+/// [`SHARD_FLUSH_EVENTS`] is a constant; callers pass
+/// `ShardTuning::default()`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ShardTuning {}
 
-impl Default for ShardTuning {
-    fn default() -> Self {
-        ShardTuning {
-            channel_depth: SHARD_CHANNEL_DEPTH,
-            flush_events: SHARD_FLUSH_EVENTS,
-        }
-    }
-}
-
-impl ShardTuning {
-    fn normalized(self) -> Self {
-        ShardTuning {
-            channel_depth: self.channel_depth.max(1),
-            flush_events: self.flush_events.max(1),
-        }
-    }
-}
-
-/// Appends one batch's rows to per-shard accumulators in a single pass:
-/// control rows go to every accumulator, memory rows only to the shard
-/// owning their address under `spec`.
-fn partition_into(batch: &EventBatch, spec: ShardSpec, accs: &mut [EventBatch]) {
+/// The row-ownership rule: appends to `out` the rows of `batch` that shard
+/// `k` of `spec` owns, in recorded order — every control row, plus the
+/// memory rows whose address [`ShardSpec::shard_of`] maps to `k`.
+#[inline]
+fn gather_shard(batch: &EventBatch, spec: ShardSpec, k: u32, out: &mut EventBatch) {
     for i in 0..batch.len() {
-        if batch.tag(i).is_memory() {
-            accs[spec.shard_of(batch.addr(i)) as usize].push_index(batch, i);
-        } else {
-            for acc in accs.iter_mut() {
-                acc.push_index(batch, i);
-            }
+        if !batch.tag(i).is_memory() || spec.shard_of(batch.addr(i)) == k {
+            out.push_index(batch, i);
         }
     }
 }
 
-/// Splits one batch into `spec.jobs()` per-shard sub-batches in a single
-/// pass: control rows are appended to every sub-batch, memory rows only to
-/// the shard owning their address ([`ShardSpec::shard_of`]). Concatenating
-/// sub-batch `k` across a batch stream therefore reproduces, in recorded
-/// order, every control event plus exactly the memory events shard `k`
-/// owns.
+/// Splits one batch into `spec.jobs()` per-shard sub-batches: control rows
+/// are appended to every sub-batch, memory rows only to the shard owning
+/// their address ([`ShardSpec::shard_of`]). Concatenating sub-batch `k`
+/// across a batch stream therefore reproduces, in recorded order, every
+/// control event plus exactly the memory events shard `k` owns.
 pub fn partition_batch(batch: &EventBatch, spec: ShardSpec) -> Vec<EventBatch> {
     let jobs = spec.jobs();
     // Size sub-batches from one cheap tag scan — every sub-batch carries
@@ -323,35 +295,40 @@ pub fn partition_batch(batch: &EventBatch, spec: ShardSpec) -> Vec<EventBatch> {
     let memory = batch.tags().iter().filter(|t| t.is_memory()).count();
     let control = batch.len() - memory;
     let capacity = control + memory / jobs as usize + 1;
-    let mut subs: Vec<EventBatch> = (0..jobs)
-        .map(|_| EventBatch::with_capacity(capacity))
-        .collect();
-    partition_into(batch, spec, &mut subs);
-    subs
+    (0..jobs)
+        .map(|k| {
+            let mut sub = EventBatch::with_capacity(capacity);
+            gather_shard(batch, spec, k, &mut sub);
+            sub
+        })
+        .collect()
 }
 
 /// Runs one sink per address shard of `spec` over a batch stream on scoped
 /// worker threads and returns the finished sinks in shard order.
 ///
 /// `make_sink(k)` builds shard `k`'s sequential analysis sink; the caller
-/// merges the returned sinks. Each batch is partitioned once, in a single
-/// pass ([`partition_batch`]'s rule); sub-batches accumulate until they hold
-/// `tuning.flush_events` rows, then stream to the workers through bounded
-/// channels of `tuning.channel_depth` whose consumed batches are pooled back
-/// to the sender, so steady-state partitioning allocates nothing.
+/// merges the returned sinks. There is no hand-off between threads: worker
+/// `k` walks the shared `batches` slice itself, gathers the rows it owns
+/// ([`partition_batch`]'s rule) into one reused sub-batch, and calls
+/// `on_batch` whenever that sub-batch holds [`SHARD_FLUSH_EVENTS`] rows
+/// and once more at the end of the stream. `tuning` carries no settings.
 ///
-/// With `metrics`, the partition loop runs under a `shard_partition` span
-/// and per-shard send/recv waits, busy time and row counts are recorded at
-/// one clock pair per sub-batch; with `None` there are no clock reads.
+/// With `metrics`, each worker records its delivered and memory row counts
+/// and its whole loop (gathering plus sink time) as `busy_ns` at one clock
+/// pair per worker; nothing blocks, so the wait fields stay 0. The
+/// `shard.batches_partitioned` counter counts input batches once and
+/// `shard.sub_batches_sent` the sub-batches delivered, summed over workers.
+/// With `None` there are no clock reads.
 ///
 /// # Errors
 ///
-/// [`ShardError`] if any worker panicked. A dead worker's channel stops
-/// accepting sends; the surviving shards drain and join first.
+/// [`ShardError`] if any worker panicked; the surviving workers finish the
+/// stream and join first.
 pub fn run_sharded_batched<S, F>(
     batches: &[EventBatch],
     spec: ShardSpec,
-    tuning: ShardTuning,
+    _tuning: ShardTuning,
     metrics: Option<&Metrics>,
     make_sink: F,
 ) -> Result<Vec<S>, ShardError>
@@ -359,123 +336,71 @@ where
     S: TraceSink + Send,
     F: Fn(u32) -> S + Sync,
 {
-    let jobs = spec.jobs() as usize;
-    let tuning = tuning.normalized();
-    std::thread::scope(|s| {
+    let sinks = std::thread::scope(|s| {
         let make_sink = &make_sink;
-        // Consumed sub-batches flow back to the sender through an unbounded
-        // return channel and get refilled in place: the steady state
-        // recycles `jobs × channel_depth + jobs` batches with no allocation.
-        let (pool_tx, pool_rx) = std::sync::mpsc::channel::<EventBatch>();
-        let (senders, handles): (Vec<_>, Vec<_>) = (0..jobs)
+        let handles = (0..spec.jobs())
             .map(|k| {
-                let (tx, rx) = std::sync::mpsc::sync_channel::<EventBatch>(tuning.channel_depth);
-                let pool_tx = pool_tx.clone();
-                let handle = s.spawn(move || {
-                    // A panic anywhere below drops `rx`, which the sender
-                    // observes as a disconnected channel — not a deadlock.
+                s.spawn(move || {
                     let mut done = 0u64;
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        let mut sink = make_sink(k as u32);
-                        let Some(m) = metrics else {
-                            while let Ok(mut sub) = rx.recv() {
-                                done += sub.len() as u64;
-                                sink.on_batch(&sub);
-                                sub.clear();
-                                let _ = pool_tx.send(sub); // sender may have finished
-                            }
-                            return sink;
-                        };
-                        let mut sm = ShardMetrics {
-                            shard: k,
-                            ..ShardMetrics::default()
-                        };
-                        loop {
-                            let t0 = Instant::now();
-                            let Ok(mut sub) = rx.recv() else { break };
-                            sm.recv_wait_ns += t0.elapsed().as_nanos() as u64;
-                            done += sub.len() as u64;
-                            sm.events += sub.len() as u64;
-                            sm.mem_events +=
-                                sub.tags().iter().filter(|t| t.is_memory()).count() as u64;
-                            let t1 = Instant::now();
-                            sink.on_batch(&sub);
-                            sm.busy_ns += t1.elapsed().as_nanos() as u64;
-                            sub.clear();
-                            let _ = pool_tx.send(sub);
-                        }
-                        m.record_shard(sm);
+                    catch_unwind(AssertUnwindSafe(|| {
+                        let mut sink = make_sink(k);
+                        drive_shard(batches, spec, k, &mut sink, metrics, &mut done);
                         sink
-                    }));
-                    result.map_err(|payload| (done, panic_message(payload)))
-                });
-                (tx, handle)
+                    }))
+                    .map_err(|payload| (done, panic_message(payload)))
+                })
             })
-            .unzip();
-        // Workers hold the remaining pool_tx clones.
-        drop(pool_tx);
-        // One partitioning pass over the stream, instead of one filtered
-        // scan per worker; workers consume concurrently as batches fill.
-        {
-            let _partition_span = span_opt(metrics, Stage::ShardPartition);
-            let mut acc: Vec<EventBatch> = (0..jobs)
-                .map(|_| EventBatch::with_capacity(tuning.flush_events))
-                .collect();
-            let mut send_wait: Vec<u64> = vec![0; if metrics.is_some() { jobs } else { 0 }];
-            // A send to a panicked worker fails with a disconnect (the
-            // worker dropped its receiver during unwind). The sub-batch is
-            // dropped and the shard marked dead — the panic itself is
-            // reported at join, and the other shards keep streaming.
-            let mut dead: Vec<bool> = vec![false; jobs];
-            let mut sent = 0u64;
-            let timed_send =
-                |k: usize, sub: EventBatch, send_wait: &mut [u64], dead: &mut [bool]| {
-                    if dead[k] {
-                        return;
-                    }
-                    if metrics.is_some() {
-                        let t0 = Instant::now();
-                        dead[k] = senders[k].send(sub).is_err();
-                        send_wait[k] += t0.elapsed().as_nanos() as u64;
-                    } else {
-                        dead[k] = senders[k].send(sub).is_err();
-                    }
-                };
-            for batch in batches {
-                partition_into(batch, spec, &mut acc);
-                for (k, slot) in acc.iter_mut().enumerate() {
-                    if slot.len() < tuning.flush_events {
-                        continue;
-                    }
-                    let fresh = pool_rx
-                        .try_recv()
-                        .unwrap_or_else(|_| EventBatch::with_capacity(tuning.flush_events));
-                    let full = std::mem::replace(slot, fresh);
-                    sent += 1;
-                    timed_send(k, full, &mut send_wait, &mut dead);
-                }
-            }
-            for (k, rest) in acc.into_iter().enumerate() {
-                if !rest.is_empty() {
-                    sent += 1;
-                    timed_send(k, rest, &mut send_wait, &mut dead);
-                }
-            }
-            if let Some(m) = metrics {
-                m.add(Counter::ShardBatchesPartitioned, batches.len() as u64);
-                m.add(Counter::ShardSubBatchesSent, sent);
-                for (k, ns) in send_wait.into_iter().enumerate() {
-                    m.record_shard(ShardMetrics {
-                        shard: k,
-                        send_wait_ns: ns,
-                        ..ShardMetrics::default()
-                    });
-                }
-            }
-        }
-        drop(senders); // close the channels so workers finish
+            .collect();
         join_shards(handles)
-    })
+    })?;
+    if let Some(m) = metrics {
+        m.add(Counter::ShardBatchesPartitioned, batches.len() as u64);
+    }
+    Ok(sinks)
+}
+
+/// Worker `k`'s loop of [`run_sharded_batched`]: gathers its rows and feeds
+/// them to `sink` in sub-batches of at least [`SHARD_FLUSH_EVENTS`] rows.
+/// `done` counts the rows handed to the sink so far, for [`ShardError`].
+fn drive_shard<S: TraceSink>(
+    batches: &[EventBatch],
+    spec: ShardSpec,
+    k: u32,
+    sink: &mut S,
+    metrics: Option<&Metrics>,
+    done: &mut u64,
+) {
+    let start = metrics.map(|_| Instant::now());
+    let (mut sent, mut mem_events) = (0u64, 0u64);
+    let mut sub = EventBatch::with_capacity(SHARD_FLUSH_EVENTS);
+    let mut deliver = |sub: &mut EventBatch| {
+        *done += sub.len() as u64;
+        sent += 1;
+        if metrics.is_some() {
+            mem_events += sub.tags().iter().filter(|t| t.is_memory()).count() as u64;
+        }
+        sink.on_batch(sub);
+        sub.clear();
+    };
+    for batch in batches {
+        gather_shard(batch, spec, k, &mut sub);
+        if sub.len() >= SHARD_FLUSH_EVENTS {
+            deliver(&mut sub);
+        }
+    }
+    if !sub.is_empty() {
+        deliver(&mut sub);
+    }
+    if let (Some(m), Some(start)) = (metrics, start) {
+        m.record_shard(ShardMetrics {
+            shard: k as usize,
+            events: *done,
+            mem_events,
+            busy_ns: start.elapsed().as_nanos() as u64,
+            ..ShardMetrics::default()
+        });
+        m.add(Counter::ShardSubBatchesSent, sent);
+    }
 }
 
 /// Memory events per shard under `spec` (control events are broadcast and
@@ -852,6 +777,54 @@ mod tests {
     }
 
     #[test]
+    fn fan_out_delivers_each_shard_its_owned_substream() {
+        let (_m, events, _) = record(CHURN);
+        for batch_size in [1usize, 17, 4096] {
+            let batches = to_batches(&events, batch_size);
+            for jobs in [1u32, 2, 3, 5] {
+                for spec in specs(jobs) {
+                    let m = Metrics::new();
+                    let sinks = run_sharded_batched(
+                        &batches,
+                        spec,
+                        ShardTuning::default(),
+                        Some(&m),
+                        |_| RecordingSink::default(),
+                    )
+                    .unwrap();
+                    assert_eq!(sinks.len(), jobs as usize);
+                    let mut max_sent = jobs as u64;
+                    for (k, sink) in sinks.iter().enumerate() {
+                        // Ground truth: the per-event ownership predicate
+                        // over the recorded stream, in recorded order.
+                        let expect: Vec<Event> = events
+                            .iter()
+                            .copied()
+                            .filter(|ev| match *ev {
+                                Event::Read { addr, .. } | Event::Write { addr, .. } => {
+                                    spec.shard_of(addr) == k as u32
+                                }
+                                _ => true,
+                            })
+                            .collect();
+                        let case = format!(
+                            "batch_size={batch_size} jobs={jobs} shift={} shard={k}",
+                            spec.shift()
+                        );
+                        assert_eq!(sink.events, expect, "{case}");
+                        max_sent += expect.len().div_ceil(SHARD_FLUSH_EVENTS) as u64;
+                    }
+                    let sent = m.get(Counter::ShardSubBatchesSent);
+                    assert!(
+                        sent >= jobs as u64 && sent <= max_sent,
+                        "{sent} > {max_sent}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn batched_profile_equals_sequential_for_any_job_count() {
         let (module, events, steps) = record(CHURN);
         // A reader cap of 1 forces evictions, which are per-address state:
@@ -910,36 +883,6 @@ mod tests {
     }
 
     #[test]
-    fn tiny_flush_threshold_and_depth_still_merge_exactly() {
-        // Degenerate tuning (flush every row, depth 1) maximizes channel
-        // traffic; the merged profile must not change.
-        let (module, events, steps) = record(CHURN);
-        let (seq, _, _) = profile_events(
-            &module,
-            events.iter().copied(),
-            steps,
-            ProfileConfig::default(),
-        );
-        let batches = to_batches(&events, 16);
-        let tuning = ShardTuning {
-            channel_depth: 1,
-            flush_events: 1,
-        };
-        let spec = ShardSpec::for_batches(&batches, 3);
-        let (par, _, _) = profile_batches_par_spec(
-            &module,
-            &batches,
-            steps,
-            ProfileConfig::default(),
-            spec,
-            tuning,
-            None,
-        )
-        .unwrap();
-        assert_eq!(par, seq);
-    }
-
-    #[test]
     fn instrumented_sharded_profile_equals_uninstrumented() {
         let (module, events, steps) = record(CHURN);
         let batches = to_batches(&events, 16);
@@ -974,14 +917,14 @@ mod tests {
             m.get(Counter::ShardBatchesPartitioned),
             batches.len() as u64
         );
-        // Fat hand-off: sub-batches accumulate to the flush threshold, so
-        // far fewer sends than input batches — but at least one flush per
+        // Fat sub-batches: rows accumulate to the flush threshold, so far
+        // fewer deliveries than input batches — but at least one flush per
         // shard that received anything.
         let sent = m.get(Counter::ShardSubBatchesSent);
         assert!(sent >= 1 && sent <= (batches.len() * jobs) as u64, "{sent}");
 
-        // Per-shard rows: one per shard, mem rows partition exactly, and
-        // every shard carries its shadow telemetry.
+        // Per-shard rows: one per shard, mem rows partition exactly, every
+        // shard carries its shadow telemetry, and nothing waits.
         let shards = m.shards();
         assert_eq!(shards.len(), jobs);
         let expect_counts =
@@ -990,12 +933,13 @@ mod tests {
             assert_eq!(sm.shard, k);
             assert_eq!(sm.mem_events, expect_counts[k], "shard {k}");
             assert!(sm.events >= sm.mem_events);
+            assert_eq!((sm.send_wait_ns, sm.recv_wait_ns), (0, 0), "shard {k}");
         }
         let pages: u64 = shards.iter().map(|s| s.pages_allocated).sum();
         assert_eq!(pages, plain.shadow_stats.pages_allocated);
 
-        // Stage spans fired exactly once each.
-        assert_eq!(m.stage(Stage::ShardPartition).1, 1);
+        // The merge span fired exactly once; the fan-out opens no span.
+        assert_eq!(m.stage(Stage::ShardPartition).1, 0);
         assert_eq!(m.stage(Stage::Merge).1, 1);
     }
 
@@ -1003,7 +947,8 @@ mod tests {
     fn fat_handoff_sends_few_fat_sub_batches() {
         // With the default 4096-row flush threshold, a multi-thousand-event
         // stream split into small input batches must still reach each
-        // worker in a handful of fat sends, not one send per input batch.
+        // shard's sink in a handful of fat sub-batches, not one per input
+        // batch.
         let (module, events, steps) = record(CHURN);
         let batches = to_batches(&events, 64);
         let jobs = 2usize;
@@ -1061,16 +1006,13 @@ mod tests {
     fn panicking_worker_is_a_typed_error_on_the_batched_path() {
         let (_m, events, _) = record(CHURN);
         let batches = to_batches(&events, 16);
-        // Degenerate tuning maximizes post-mortem sends: the sender must
-        // absorb the dead shard's disconnected channel (not panic, not
-        // deadlock) while the surviving shards drain to completion.
-        let tuning = ShardTuning {
-            channel_depth: 1,
-            flush_events: 1,
-        };
+        // Shard 0 dies on its first sub-batch, under word interleaving:
+        // the other workers must still walk the whole stream and join.
         let spec = ShardSpec::with_shift(3, 0);
-        let err = run_sharded_batched(&batches, spec, tuning, None, |k| Bomb { armed: k == 0 })
-            .unwrap_err();
+        let err = run_sharded_batched(&batches, spec, ShardTuning::default(), None, |k| Bomb {
+            armed: k == 0,
+        })
+        .unwrap_err();
         assert_eq!(err.shard, 0);
         assert!(err.payload.contains("shard bomb"), "{}", err.payload);
     }

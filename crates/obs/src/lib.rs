@@ -70,9 +70,11 @@ pub enum Counter {
     ProfileLoads,
     /// Partial-profile merges performed (one per absorbed profile).
     ProfileMerges,
-    /// Whole batches partitioned for sharded replay.
+    /// Input batches fanned out to the workers of a sharded replay, each
+    /// counted once however many workers read it.
     ShardBatchesPartitioned,
-    /// Non-empty per-shard sub-batches sent over shard channels.
+    /// Non-empty per-shard sub-batches delivered to shard sinks, summed
+    /// over workers.
     ShardSubBatchesSent,
     /// Parallel tasks identified by the parsim extractor.
     ParsimTasksExtracted,
@@ -148,7 +150,10 @@ pub enum Stage {
     Encode,
     /// Trace decoding (streaming or chunk-parallel).
     Decode,
-    /// Splitting batches into per-shard sub-batches.
+    /// Splitting batches into per-shard sub-batches on one thread. Nothing
+    /// opens it: sharded replay workers gather their own rows, and that
+    /// time is part of each [`ShardMetrics::busy_ns`]. It reads 0 and is
+    /// kept for metrics schema v1.
     ShardPartition,
     /// Merging per-shard profiles/traces back together.
     Merge,
@@ -257,12 +262,15 @@ pub struct ShardMetrics {
     pub events: u64,
     /// Memory event rows (the partitioned, non-overlapping portion).
     pub mem_events: u64,
-    /// Nanoseconds the sender spent blocked pushing into this shard's
-    /// bounded channel.
+    /// Nanoseconds spent blocked handing rows to this shard. Always 0:
+    /// workers gather their own rows, so nothing hands rows over; kept for
+    /// metrics schema v1.
     pub send_wait_ns: u64,
-    /// Nanoseconds this shard's worker spent blocked waiting to receive.
+    /// Nanoseconds this shard's worker spent blocked waiting for rows.
+    /// Always 0 for the same reason; kept for metrics schema v1.
     pub recv_wait_ns: u64,
-    /// Nanoseconds this shard's worker spent actually processing batches.
+    /// Wall nanoseconds of this shard's whole worker loop: gathering its
+    /// rows from the shared stream plus its sink's processing.
     pub busy_ns: u64,
     /// Shadow-memory pages faulted in by this shard's profiler.
     pub pages_allocated: u64,

@@ -47,9 +47,10 @@ pub struct Derived {
     pub ns_per_event: f64,
     /// Trace bytes per event (decoded if replaying, else written).
     pub bytes_per_event: f64,
-    /// Sum of sender-side channel wait across shards.
+    /// Sum of [`ShardMetrics::send_wait_ns`] across shards (0: sharded
+    /// replay has no hand-off to wait on).
     pub send_wait_ns: u64,
-    /// Sum of worker-side channel wait across shards.
+    /// Sum of [`ShardMetrics::recv_wait_ns`] across shards (0, likewise).
     pub recv_wait_ns: u64,
 }
 

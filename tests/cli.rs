@@ -415,7 +415,7 @@ fn scale_and_shard_tunables_are_validated() {
         .output()
         .expect("spawns");
     assert!(rec.status.success());
-    // The shard hand-off is not user-tunable: the old tuning flags are
+    // The shard fan-out is not user-tunable: the old tuning flags are
     // rejected like any other unknown flag, with the usage exit code.
     for flag in ["--shard-flush", "--shard-depth"] {
         let out = bin()
